@@ -5,9 +5,14 @@ produced by operator recipes (so the operator laws are exercised every
 time the catalog is built), by the drum face lists for the two infinite
 families, by cap gyration for the pseudorhombicuboctahedron, and by
 antipodal quotients for the projective-plane entries.
+
+The constructors whose names form a finite set are memoized, so each
+of those entries, and the certificate cached on its map, is built once
+per process and shared by every caller.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -105,6 +110,7 @@ def antiprism(n: int) -> CatalogEntry:
     return _entry(f"antiprism-{n}", build_map(faces), f"antiprism({n})")
 
 
+@functools.cache
 def platonic(name: str) -> CatalogEntry:
     if name == "tetrahedron":
         return _entry(name, build_map(_TETRAHEDRON), "face list")
@@ -159,6 +165,7 @@ _ARCHIMEDEAN_RECIPES = {
 }
 
 
+@functools.cache
 def archimedean(name: str) -> CatalogEntry:
     try:
         recipe, maker = _ARCHIMEDEAN_RECIPES[name]
@@ -167,6 +174,7 @@ def archimedean(name: str) -> CatalogEntry:
     return _entry(name, maker(), recipe)
 
 
+@functools.cache
 def pseudo_rhombicuboctahedron() -> CatalogEntry:
     """Gyrate one square cupola of the small rhombicuboctahedron.
 

@@ -122,6 +122,13 @@ class InvalidInvolution(SemapError):
     """Permutation handed to quotient() is not a free involution of the map."""
 
 
+class SymmetryCheckFailed(SemapError):
+    """A computed witness, automorphism group or double cover failed its check.
+
+    Must never occur; raised instead of returning an uncertified answer.
+    """
+
+
 # ---------------------------------------------------------------- classify
 
 class NotSemiEquivelar(SemapError):

@@ -1,31 +1,35 @@
 """Isomorphism and symmetry machinery built on flag traversals.
 
 Certificates are minimum flag-BFS codes, so isomorphism naturally
-includes orientation-reversing correspondences.  Automorphisms arise
-from flags whose BFS code equals the base flag's code: the flag graph
-of a polyhedral map is rigid, so every such flag determines exactly one
-automorphism.
+includes orientation-reversing correspondences.  The same search that
+finds the minimum code finds generators of the automorphism group: two
+start flags with equal codes determine exactly one automorphism, since
+the flag graph of a polyhedral map is rigid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from semap import _certpure
+from semap._certpure import KERNEL_NAME, CanonicalSearch, canonical_search
 from semap.errors import (
     AlreadySpherical,
     InvalidInvolution,
     MapBuildError,
     NonPolyhedralQuotient,
+    SymmetryCheckFailed,
 )
 from semap.flags import flag_system
 from semap.map_core import PolyhedralMap, build_map, face_key
 
-try:  # compiled kernel is optional; the pure twin has the same contract
-    from semap import _certfast as _kernel
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernel = _certpure
 
-KERNEL_NAME = _kernel.KERNEL_NAME
+def _search(m: PolyhedralMap) -> CanonicalSearch:
+    search = m._cache.get("search")
+    if search is None:
+        fs = flag_system(m)
+        search = canonical_search(fs.s0, fs.s1, fs.s2)
+        m._cache["search"] = search
+    return search
 
 
 @dataclass(frozen=True)
@@ -51,17 +55,16 @@ def canonical_certificate(m: PolyhedralMap) -> CanonicalCertificate:
     cert = m._cache.get("certificate")
     if cert is not None:
         return cert
-    fs = flag_system(m)
-    code, best_start = _kernel.min_code(fs.s0, fs.s1, fs.s2)
-    order = _kernel.bfs_order(fs.s0, fs.s1, fs.s2, best_start)
+    search = _search(m)
+    flag_vertex = flag_system(m).flag_vertex
     seen = [False] * m.vertex_count
     vertex_order = []
-    for fl in order:
-        v = fs.flag_vertex[fl]
+    for fl in search.order:
+        v = flag_vertex[fl]
         if not seen[v]:
             seen[v] = True
             vertex_order.append(v)
-    cert = CanonicalCertificate(code, tuple(vertex_order))
+    cert = CanonicalCertificate(search.code, tuple(vertex_order))
     m._cache["certificate"] = cert
     return cert
 
@@ -82,7 +85,8 @@ def isomorphism_witness(a: PolyhedralMap, b: PolyhedralMap) -> tuple[int, ...] |
         return None
     to_label = {v: i for i, v in enumerate(ca.vertex_order)}
     sigma = tuple(cb.vertex_order[to_label[v]] for v in range(a.vertex_count))
-    assert _maps_faces(a, b, sigma), "certificate-derived witness failed verification"
+    if not _maps_faces(a, b, sigma):
+        raise SymmetryCheckFailed("certificate-derived witness failed verification")
     return sigma
 
 
@@ -105,23 +109,47 @@ class AutomorphismGroup:
 
 
 def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
-    """Exhaustive: every flag is tried as image of the base flag."""
+    """The group generated by the automorphisms the canonical search found.
+
+    Complete because the search's orbit of its best start flag is the
+    full flag orbit, whose size is the group order; the closure is
+    checked against that size, and every generator against the face set.
+    """
     group = m._cache.get("autgroup")
     if group is not None:
         return group
-    fs = flag_system(m)
-    starts = _kernel.matching_starts(fs.s0, fs.s1, fs.s2)
-    base_order = _kernel.bfs_order(fs.s0, fs.s1, fs.s2, 0)
-    perms = []
-    for g in starts:
-        image_order = (
-            base_order if g == 0 else _kernel.bfs_order(fs.s0, fs.s1, fs.s2, g)
+    search = _search(m)
+    flag_vertex = flag_system(m).flag_vertex
+    generators = []
+    for perm in search.generators:
+        sigma = [0] * m.vertex_count
+        for a, b in enumerate(perm):
+            sigma[flag_vertex[a]] = flag_vertex[b]
+        sigma = tuple(sigma)
+        if not _maps_faces(m, m, sigma):
+            raise SymmetryCheckFailed("flag automorphism does not preserve the faces")
+        generators.append(sigma)
+
+    # closure under right multiplication; itemgetter(*q)(p) is p after q
+    compose = [itemgetter(*q) for q in generators]
+    identity = tuple(range(m.vertex_count))
+    elements = {identity}
+    frontier = [identity]
+    while frontier and len(elements) <= search.orbit_size:
+        new = []
+        for p in frontier:
+            for times_q in compose:
+                pq = times_q(p)
+                if pq not in elements:
+                    elements.add(pq)
+                    new.append(pq)
+        frontier = new
+    if len(elements) != search.orbit_size:
+        raise SymmetryCheckFailed(
+            f"generated group has {len(elements)} elements, "
+            f"but the start flag orbit has {search.orbit_size}"
         )
-        sigma = [-1] * m.vertex_count
-        for fl_base, fl_img in zip(base_order, image_order):
-            sigma[fs.flag_vertex[fl_base]] = fs.flag_vertex[fl_img]
-        perms.append(tuple(sigma))
-    perms.sort()
+    perms = sorted(elements)
 
     seen = [False] * m.vertex_count
     orbits = []
@@ -158,7 +186,8 @@ def _face_orbit_free(m: PolyhedralMap, sigma) -> bool:
         img = face_key(tuple(sigma[v] for v in f))
         if img == face_key(f):
             return False
-        assert img in keys
+        if img not in keys:
+            raise SymmetryCheckFailed("permutation maps a face outside the map")
     return True
 
 
@@ -276,9 +305,12 @@ def double_cover(y: PolyhedralMap) -> tuple[PolyhedralMap, tuple[int, ...]]:
         deck[cid] = vertex_comp[rep ^ 1]
     deck = tuple(deck)
 
-    assert cover.euler_characteristic == 2, "double cover is not a sphere"
-    assert cover.vertex_count == 2 * y.vertex_count
-    assert is_free_involution(cover, deck), "deck transformation is not free"
+    if cover.euler_characteristic != 2:
+        raise SymmetryCheckFailed("double cover is not a sphere")
+    if cover.vertex_count != 2 * y.vertex_count:
+        raise SymmetryCheckFailed("double cover does not have twice the vertices")
+    if not is_free_involution(cover, deck):
+        raise SymmetryCheckFailed("deck transformation is not free")
     return cover, deck
 
 

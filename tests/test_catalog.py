@@ -85,6 +85,15 @@ def test_unknown_names():
         entry_by_name("prism-x")
 
 
+def test_finite_constructors_are_memoized():
+    assert entry_by_name("snub-cube") is archimedean("snub-cube")
+    assert platonic("cube") is platonic("cube")
+    assert pseudo_rhombicuboctahedron() is pseudo_rhombicuboctahedron()
+    assert prism(5) is not prism(5)  # the family key is unbounded
+    with pytest.raises(UnknownName):  # errors are not cached as results
+        platonic("rhombic-dodecahedron")
+
+
 def test_pseudo_rco():
     from semap.classify import square_type_counts
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from semap import symmetry
 from semap.catalog import (
     antiprism,
     archimedean,
@@ -15,6 +16,7 @@ from semap.errors import (
     AlreadySpherical,
     InvalidInvolution,
     NonPolyhedralQuotient,
+    SymmetryCheckFailed,
 )
 from semap.map_core import build_map, face_key
 from semap.symmetry import (
@@ -69,6 +71,24 @@ def test_witness_is_a_face_bijection():
     assert {face_key(tuple(sigma[v] for v in f)) for f in other.faces} == {
         face_key(f) for f in dodeca.faces
     }
+
+
+def test_witness_check_raises_instead_of_asserting(monkeypatch):
+    cube = platonic("cube").map
+    other = _relabel(cube, [3, 1, 4, 0, 5, 7, 2, 6])
+    monkeypatch.setattr(symmetry, "_maps_faces", lambda a, b, sigma: False)
+    with pytest.raises(SymmetryCheckFailed):
+        isomorphism_witness(other, cube)
+
+
+def test_group_check_raises_when_generators_are_missing(monkeypatch):
+    real = symmetry.canonical_search
+    monkeypatch.setattr(
+        symmetry, "canonical_search", lambda *tables: real(*tables)._replace(generators=[])
+    )
+    fresh = build_map(prism(5).map.faces)  # no search cached on it yet
+    with pytest.raises(SymmetryCheckFailed):
+        automorphism_group(fresh)
 
 
 def test_tetrahedron_group_is_full_symmetric():
