@@ -16,8 +16,8 @@ import functools
 import os
 from dataclasses import dataclass
 
-from semap.errors import MaxGonTooSmall, NTooSmall, UnknownName
-from semap.map_core import PolyhedralMap, build_map, format_map_text
+from semap.errors import InvariantViolated, MaxGonTooSmall, NoFreeInvolution, NTooSmall, UnknownName
+from semap.map_core import PolyhedralMap, build_map, format_map_text, square_neighbour_counts
 from semap.operators import (
     canonical_seed_diagonal,
     dual,
@@ -25,7 +25,7 @@ from semap.operators import (
     rectify,
     truncate,
 )
-from semap.vtype import VertexType, normalize
+from semap.vtype import VertexType
 
 _TETRAHEDRON = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 _OCTAHEDRON = (
@@ -78,8 +78,12 @@ def _entry(name: str, m: PolyhedralMap, recipe: str) -> CatalogEntry:
     from semap.vtype import predicted_vertex_count, semi_equivelar_type
 
     t = semi_equivelar_type(m)
-    assert isinstance(t, VertexType), f"{name} is not semi-equivelar"
-    assert m.vertex_count == predicted_vertex_count(t), name
+    if not isinstance(t, VertexType):
+        raise InvariantViolated(f"{name} is not semi-equivelar: {t}")
+    if m.vertex_count != predicted_vertex_count(t):
+        raise InvariantViolated(
+            f"{name} has {m.vertex_count} vertices but type {t} forces {predicted_vertex_count(t)}"
+        )
     return CatalogEntry(name, m, t, m.vertex_count, recipe)
 
 
@@ -184,21 +188,15 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
     result; see classify.square_type_counts.
     """
     y = archimedean("small-rhombicuboctahedron").map
-    squares = [i for i, f in enumerate(y.faces) if len(f) == 4]
-    square_set = set(squares)
-    adjacency = {i: 0 for i in squares}
-    for f1, f2 in y.edge_faces.values():
-        if f1 in square_set and f2 in square_set:
-            adjacency[f1] += 1
-            adjacency[f2] += 1
-    axis = min(i for i in squares if adjacency[i] == 4)
+    axis = min(i for i, c in square_neighbour_counts(y).items() if c == 4)
 
     beta = set(y.faces[axis])
     cap = {axis}
     for fi, face in enumerate(y.faces):
         if fi != axis and set(face) & beta:
             cap.add(fi)
-    assert len(cap) == 9, "cap is one square, four squares and four triangles"
+    if len(cap) != 9:
+        raise InvariantViolated("cap is not one square, four squares and four triangles")
 
     boundary_edges = [
         e
@@ -209,7 +207,8 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
     for u, v in boundary_edges:
         rim_adj.setdefault(u, []).append(v)
         rim_adj.setdefault(v, []).append(u)
-    assert all(len(nb) == 2 for nb in rim_adj.values())
+    if any(len(nb) != 2 for nb in rim_adj.values()):
+        raise InvariantViolated("cap boundary is not a cycle")
     start = min(rim_adj)
     rim = [start, min(rim_adj[start])]
     while True:
@@ -217,7 +216,8 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
         if nxt == start:
             break
         rim.append(nxt)
-    assert len(rim) == 8, "cap rim is an octagon"
+    if len(rim) != 8:
+        raise InvariantViolated("cap rim is not an octagon")
 
     shift = {rim[i]: rim[(i + 1) % 8] for i in range(8)}
     faces = []
@@ -233,7 +233,8 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
     from semap.classify import square_type_counts
 
     counts = square_type_counts(m)
-    assert (counts.s2, counts.s3, counts.s4) == (8, 8, 2), "gyration failed"
+    if (counts.s2, counts.s3, counts.s4) != (8, 8, 2):
+        raise InvariantViolated(f"gyration gave square-type counts {counts}")
     return entry
 
 
@@ -248,7 +249,7 @@ def entry_by_name(name: str) -> CatalogEntry:
     for prefix, maker in (("prism-", prism), ("antiprism-", antiprism)):
         if name.startswith(prefix):
             suffix = name[len(prefix):]
-            if not suffix.isdigit():
+            if not suffix.isdecimal():
                 raise UnknownName(f"bad family parameter in {name!r}")
             return maker(int(suffix))
     raise UnknownName(f"unknown catalog name {name!r}")
@@ -294,7 +295,8 @@ def rp2_catalog() -> list[CatalogEntry]:
     for base_name in _RP2_BASES:
         base = entry_by_name(base_name)
         involutions = free_involutions(base.map)
-        assert involutions, f"{base_name} has no antipodal symmetry"
+        if not involutions:
+            raise NoFreeInvolution(f"{base_name} has no antipodal symmetry")
         q = quotient(base.map, involutions[0])
         t = semi_equivelar_type(q)
         entries.append(

@@ -15,21 +15,21 @@ from semap.catalog import PLATONIC_NAMES, entry_by_name, platonic
 from semap.errors import (
     ClassificationViolation,
     CountMismatch,
+    InvariantViolated,
     NotSemiEquivelar,
     TooLarge,
     WrongShape,
     WrongSphere,
 )
-from semap.map_core import PolyhedralMap, build_map, face_key, format_map_text
+from semap.map_core import PolyhedralMap, build_map, face_key, format_map_text, square_neighbour_counts
 from semap.operators import inverse_rectification, inverse_truncation, remove_deep_blue
 from semap.symmetry import are_isomorphic, canonical_certificate, cycle_notation, isomorphism_witness
 from semap.vtype import (
     VertexType,
-    degree_profile,
+    drum_family,
     normalize,
     predicted_vertex_count,
     semi_equivelar_type,
-    vertex_type_at,
 )
 
 
@@ -46,18 +46,14 @@ def square_type_counts(m: PolyhedralMap) -> SquareTypeCounts:
     t = semi_equivelar_type(m)
     if not isinstance(t, VertexType) or t != normalize((3, 4, 4, 4)) or m.vertex_count != 24:
         raise WrongShape("square-type counts need a 24-vertex map of type [3,4^3]")
-    squares = {i for i, f in enumerate(m.faces) if len(f) == 4}
-    adjacent = {i: 0 for i in squares}
-    for f1, f2 in m.edge_faces.values():
-        if f1 in squares and f2 in squares:
-            adjacent[f1] += 1
-            adjacent[f2] += 1
     counts = [0, 0, 0]
-    for i, c in adjacent.items():
-        assert 2 <= c <= 4, "a square meets 2..4 other squares"
+    for c in square_neighbour_counts(m).values():
+        if not 2 <= c <= 4:
+            raise _violation(m, f"a square meets {c} other squares, not 2..4")
         counts[c - 2] += 1
     result = SquareTypeCounts(*counts)
-    assert 2 * result.s2 + result.s3 == 24 and result.s2 + result.s3 + result.s4 == 18
+    if 2 * result.s2 + result.s3 != 24 or result.s2 + result.s3 + result.s4 != 18:
+        raise _violation(m, f"square-type counts {result} break the square census")
     return result
 
 
@@ -97,21 +93,15 @@ def _violation(m: PolyhedralMap, message: str) -> ClassificationViolation:
 
 
 def _derive_name(m: PolyhedralMap, t: VertexType) -> str:
-    runs = t.runs
-    profile = dict(degree_profile(t))
-
-    if len(runs) == 1:
+    if len(t.runs) == 1:
         for name in PLATONIC_NAMES:
             if are_isomorphic(m, platonic(name).map):
                 return name
         raise _violation(m, f"[q^p] map of type {t} matches no Platonic boundary")
 
-    if t.degree == 3 and len(profile) == 2 and profile.get(4) == 2:
-        n = next(p for p in profile if p != 4)
-        return f"prism-{n}"
-    if t.degree == 4 and len(profile) == 2 and profile.get(3) == 3:
-        s = next(p for p in profile if p != 3)
-        return f"antiprism-{s}"
+    drum = drum_family(t)
+    if drum is not None:
+        return f"{drum[0]}-{drum[1]}"
 
     if t == normalize((3, 4, 4, 4)):
         counts = square_type_counts(m)
@@ -121,7 +111,7 @@ def _derive_name(m: PolyhedralMap, t: VertexType) -> str:
             return "pseudo-rhombicuboctahedron"
         raise _violation(m, f"unexpected square-type counts {counts}")
 
-    if t.degree == 5 and profile.get(3) == 4:
+    if t.degree == 5 and t.size_multiset().get(3) == 4:
         inner = remove_deep_blue(m)
         inner_name = _derive_name(inner, _type_of(inner))
         if inner_name not in _SNUB_NAMES:
@@ -317,8 +307,8 @@ class _Generator:
             return []
         seed = tuple(range(seed_size))
         self.used = seed_size
-        ok = self._try_add(seed)
-        assert ok
+        if not self._try_add(seed):
+            raise InvariantViolated(f"seed face {seed} rejected by an empty map")
         self._extend()
         self._remove_last()
         return [self.results[c] for c in sorted(self.results)]
@@ -345,7 +335,8 @@ class _Generator:
                     open_ends.append(b)
                 elif b == v_star:
                     open_ends.append(a)
-        assert open_ends, "incomplete fan must leave an open edge"
+        if not open_ends:
+            raise InvariantViolated(f"incomplete fan at {v_star} leaves no open edge")
         u = min(open_ends)
         for size in self.size_order:
             if self.sizes_at[v_star].get(size, 0) >= self.mult.get(size, 0):

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from semap import catalog, geometry, verification
-from semap._threads import thread_cap
 from semap.classify import identify
 from semap.errors import (
     ClassificationViolation,
@@ -47,7 +47,14 @@ class _UsageError(Exception):
 
 
 def _read_map(path: str | None) -> PolyhedralMap:
-    text = sys.stdin.read() if path in (None, "-") else open(path, encoding="utf-8").read()
+    try:
+        if path in (None, "-"):
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path or 'stdin'}: {exc}") from None
     return parse_map_text(text)
 
 
@@ -363,12 +370,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        thread_cap()
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone; point stdout at devnull so the
+        # flush at interpreter exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: BrokenPipeError", file=sys.stderr)
+        return 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,14 @@ class SemapError(Exception):
     """Base class for every domain error raised by this package."""
 
 
+class InvariantViolated(SemapError):
+    """An invariant the mathematics guarantees did not hold.
+
+    Must never occur; raised instead of going on from a state nobody
+    checked, and unlike ``assert`` it survives ``python -O``.
+    """
+
+
 # ---------------------------------------------------------------- map_core
 
 class MapBuildError(SemapError):

@@ -13,7 +13,7 @@ from semap.map_core import PolyhedralMap, _norm_edge
 class FlagSystem:
     """Move tables s0/s1/s2 over the 4*f1 flags of a map."""
 
-    __slots__ = ("flag_count", "s0", "s1", "s2", "flag_vertex", "flag_edge", "flag_face")
+    __slots__ = ("flag_count", "s0", "s1", "s2", "flag_vertex")
 
     def __init__(self, m: PolyhedralMap):
         edge_id = {e: i for i, e in enumerate(m.edges)}
@@ -56,8 +56,6 @@ class FlagSystem:
         self.s1 = s1
         self.s2 = s2
         self.flag_vertex = flag_vertex
-        self.flag_edge = flag_edge
-        self.flag_face = flag_face
 
 
 def flag_system(m: PolyhedralMap) -> FlagSystem:

@@ -23,6 +23,7 @@ from semap.errors import (
     Disconnected,
     EdgeDegreeNotTwo,
     InvalidFaceList,
+    InvariantViolated,
     MapFormatError,
     NonPolyhedralIntersection,
     PinchedVertex,
@@ -82,7 +83,7 @@ class PolyhedralMap:
         self.rotations = rotations      # per vertex: cyclic tuple of face ids
         self.links = links              # per vertex: cyclic tuple of neighbours
         self.orientable = orientable
-        self._cache = {}                # lazy flag system / certificate
+        self._cache = {}                # lazy flags, symmetry, face keys
 
     # -- elementary counts -------------------------------------------------
 
@@ -132,6 +133,25 @@ def face_cycle(m: PolyhedralMap, v: int) -> FaceCycle:
     return FaceCycle(v, m.rotations[v])
 
 
+def face_keys(m: PolyhedralMap) -> frozenset[Face]:
+    """Cached set of the face keys of ``m``."""
+    keys = m._cache.get("face_keys")
+    if keys is None:
+        keys = frozenset(face_key(f) for f in m.faces)
+        m._cache["face_keys"] = keys
+    return keys
+
+
+def square_neighbour_counts(m: PolyhedralMap) -> dict[int, int]:
+    """Square face id -> number of squares sharing an edge with it."""
+    counts = {i: 0 for i, f in enumerate(m.faces) if len(f) == 4}
+    for f1, f2 in m.edge_faces.values():
+        if f1 in counts and f2 in counts:
+            counts[f1] += 1
+            counts[f2] += 1
+    return counts
+
+
 # --------------------------------------------------------------------------
 # construction
 
@@ -160,7 +180,9 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
 
     n = max(seen_vertices) + 1
     if len(seen_vertices) != n:
-        missing = sorted(set(range(n)) - seen_vertices)[:4]
+        # at least four of the first len(seen) + 4 ids are missing
+        scan = range(min(n, len(seen_vertices) + 4))
+        missing = [v for v in scan if v not in seen_vertices][:4]
         raise InvalidFaceList(f"vertex ids not dense, missing {missing}")
 
     # A face listed twice (up to rotation/reversal) would give its edges
@@ -199,7 +221,8 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
     orientable = _orientable(faces, edge_faces)
     # closed-surface classification: chi 2 is the sphere, chi 1 the
     # projective plane; a mismatch here would be a logic error
-    assert orientable == (chi == 2), "orientability inconsistent with Euler characteristic"
+    if orientable != (chi == 2):
+        raise InvariantViolated("orientability inconsistent with Euler characteristic")
 
     return PolyhedralMap(n, faces, edges, edge_faces, rotations, links, orientable)
 
@@ -351,7 +374,7 @@ def parse_map_text(text: str) -> PolyhedralMap:
                 raise MapFormatError(f"line {lineno}: duplicate map header")
             if faces:
                 raise MapFormatError(f"line {lineno}: map header after faces")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise MapFormatError(f"line {lineno}: malformed map header")
             declared = int(tokens[1])
         elif tokens[0] == "f":

@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from semap.errors import (
+    InvariantViolated,
     MultiEdgeDetected,
     NotEligibleSquare,
     NotSemiEquivelar,
     PropagationConflict,
     WrongShape,
 )
-from semap.map_core import PolyhedralMap, _norm_edge, build_map
+from semap.map_core import PolyhedralMap, _norm_edge, build_map, square_neighbour_counts
 from semap.vtype import VertexType, normalize, semi_equivelar_type
 
 
@@ -251,9 +252,10 @@ def edge_coloring(x: PolyhedralMap) -> EdgeColoring:
         s1, s2 = len(x.faces[f1]), len(x.faces[f2])
         if s1 == 3 and s2 == 3:
             blue.add(e)
-        else:
-            assert {s1, s2} == {3, q}, "q-gons may not share an edge"
+        elif {s1, s2} == {3, q}:
             red.add(e)
+        else:
+            raise InvariantViolated(f"edge {e} lies between two {q}-gons")
 
     # At a vertex whose rotation is (Q, t1, t2, t3, t4), the edges in
     # rotation order are red, red, b1, b2, b3; the 3+1 triangle splits
@@ -279,7 +281,8 @@ def edge_coloring(x: PolyhedralMap) -> EdgeColoring:
     for u, v in deep:
         counts[u][2] += 1
         counts[v][2] += 1
-    assert all(c == [2, 3, 1] for c in counts), "edge colouring invariants violated"
+    if any(c != [2, 3, 1] for c in counts):
+        raise InvariantViolated("a vertex does not meet 2 red, 3 blue and 1 deep-blue edge")
     return EdgeColoring(frozenset(red), frozenset(blue), frozenset(deep))
 
 
@@ -302,18 +305,11 @@ def remove_deep_blue(x: PolyhedralMap) -> PolyhedralMap:
 
 def _eligible_squares(y: PolyhedralMap) -> list[int]:
     t = _required_type(y)
-    squares = [i for i, f in enumerate(y.faces) if len(f) == 4]
     if t == normalize((3, 4, 4, 4)) and y.vertex_count == 24:
         # only squares flanked by exactly two other squares take a diagonal
-        adjacency = {i: 0 for i in squares}
-        square_set = set(squares)
-        for f1, f2 in y.edge_faces.values():
-            if f1 in square_set and f2 in square_set:
-                adjacency[f1] += 1
-                adjacency[f2] += 1
-        return [i for i in squares if adjacency[i] == 2]
+        return [i for i, c in square_neighbour_counts(y).items() if c == 2]
     if t == normalize((3, 4, 5, 4)):
-        return squares
+        return [i for i, f in enumerate(y.faces) if len(f) == 4]
     raise WrongShape(f"no diagonal surgery for type {t}")
 
 
@@ -422,5 +418,6 @@ def canonical_seed_diagonal(y: PolyhedralMap) -> tuple[int, int]:
             d = tuple(sorted(d))
             if best is None or d < best:
                 best = d
-    assert best is not None
+    if best is None:
+        raise NotEligibleSquare("the map has no eligible square")
     return best

@@ -20,7 +20,7 @@ from semap.errors import (
     SymmetryCheckFailed,
 )
 from semap.flags import flag_system
-from semap.map_core import PolyhedralMap, build_map, face_key
+from semap.map_core import PolyhedralMap, build_map, face_key, face_keys
 
 
 def _search(m: PolyhedralMap) -> CanonicalSearch:
@@ -91,9 +91,7 @@ def isomorphism_witness(a: PolyhedralMap, b: PolyhedralMap) -> tuple[int, ...] |
 
 
 def _maps_faces(a: PolyhedralMap, b: PolyhedralMap, sigma) -> bool:
-    image = {face_key(tuple(sigma[v] for v in f)) for f in a.faces}
-    target = {face_key(f) for f in b.faces}
-    return image == target
+    return {face_key(tuple(sigma[v] for v in f)) for f in a.faces} == face_keys(b)
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ def _edge_orbit_free(m: PolyhedralMap, sigma) -> bool:
 
 
 def _face_orbit_free(m: PolyhedralMap, sigma) -> bool:
-    keys = {face_key(f) for f in m.faces}
+    keys = face_keys(m)
     for f in m.faces:
         img = face_key(tuple(sigma[v] for v in f))
         if img == face_key(f):

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from semap._threads import thread_cap
 from semap.catalog import entry_by_name, rp2_catalog, sphere_catalog
 from semap.classify import exhaustive_generate, identify, square_type_counts
 from semap.errors import NonPolyhedralQuotient
@@ -112,8 +110,7 @@ def _suite_catalog() -> str:
             f"{e.name}: count vs angle defect",
         )
         _check(t in known, f"{e.name}: type {t} not admissible")
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        certs = list(pool.map(lambda e: canonical_certificate(e.map).code, entries))
+    certs = [canonical_certificate(e.map).code for e in entries]
     _check(len(set(certs)) == 37, "catalog entries are not pairwise non-isomorphic")
     shared = [
         (e.vertex_count, e.vertex_type) for e in entries

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from semap.errors import (
     DegreeTooSmall,
@@ -23,19 +23,9 @@ from semap.errors import (
     SizeTooSmall,
     TypeSyntaxError,
 )
-from semap.map_core import PolyhedralMap
+from semap.map_core import PolyhedralMap, face_key
 
 Runs = tuple[tuple[int, int], ...]
-
-
-def _canonical(seq: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    for s in (seq, tuple(reversed(seq))):
-        for r in range(len(s)):
-            cand = s[r:] + s[:r]
-            if best is None or cand < best:
-                best = cand
-    return best
 
 
 def _run_length(seq: tuple[int, ...]) -> Runs:
@@ -98,7 +88,7 @@ def normalize(raw: Iterable[int]) -> VertexType:
     for p in seq:
         if p < 3:
             raise SizeTooSmall(f"face size {p} < 3")
-    return VertexType(_canonical(seq))
+    return VertexType(face_key(seq))
 
 
 def vertex_type_at(m: PolyhedralMap, v: int) -> VertexType:
@@ -265,18 +255,19 @@ def _positive_defect_multisets(d: int, max_gon: int):
 def _cyclic_arrangements(multiset: tuple[int, ...]) -> list[VertexType]:
     from itertools import permutations
 
-    out = {VertexType(_canonical(perm)) for perm in permutations(multiset)}
+    out = {VertexType(face_key(perm)) for perm in permutations(multiset)}
     return sorted(out, key=lambda t: t.sizes)
 
 
-def _is_prism_family(t: VertexType) -> bool:
-    prof = degree_profile(t)
-    return t.degree == 3 and len(prof) == 2 and dict(prof).get(4) == 2
-
-
-def _is_antiprism_family(t: VertexType) -> bool:
-    prof = degree_profile(t)
-    return t.degree == 4 and len(prof) == 2 and dict(prof).get(3) == 3
+def drum_family(t: VertexType) -> tuple[str, int] | None:
+    """("prism", r) for [4^2,r], ("antiprism", s) for [3^3,s], else None."""
+    counts = t.size_multiset()
+    if len(counts) == 2:
+        if t.degree == 3 and counts.get(4) == 2:
+            return "prism", next(p for p in counts if p != 4)
+        if t.degree == 4 and counts.get(3) == 3:
+            return "antiprism", next(p for p in counts if p != 3)
+    return None
 
 
 def enumerate_admissible(max_gon: int) -> AdmissibleEnumeration:
@@ -300,25 +291,23 @@ def enumerate_admissible(max_gon: int) -> AdmissibleEnumeration:
                     survivors.append(t)
 
     sporadic = set()
-    prism_members: dict[int, VertexType] = {}
-    antiprism_members: dict[int, VertexType] = {}
+    members: dict[str, dict[int, VertexType]] = {"prism": {}, "antiprism": {}}
     violations = []
     sporadic_set = set(SPORADIC_TYPES)
     for t in survivors:
+        drum = drum_family(t)
         if t in sporadic_set:
             sporadic.add(t)
-        elif _is_prism_family(t):
-            r = next(p for p, _ in degree_profile(t) if p != 4)
-            prism_members[r] = t
-        elif _is_antiprism_family(t):
-            s = next(p for p, _ in degree_profile(t) if p != 3)
-            antiprism_members[s] = t
+        elif drum is not None:
+            family, n = drum
+            members[family][n] = t
         else:
             violations.append(t)
 
+    prisms, antiprisms = members["prism"], members["antiprism"]
     families = (
-        TypeFamily("[4^2,r]", 5, tuple(prism_members[r] for r in sorted(prism_members))),
-        TypeFamily("[3^3,s]", 4, tuple(antiprism_members[s] for s in sorted(antiprism_members))),
+        TypeFamily("[4^2,r]", 5, tuple(prisms[r] for r in sorted(prisms))),
+        TypeFamily("[3^3,s]", 4, tuple(antiprisms[s] for s in sorted(antiprisms))),
     )
     return AdmissibleEnumeration(frozenset(sporadic), families, tuple(violations))
 

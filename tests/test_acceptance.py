@@ -4,9 +4,17 @@ Each test prints a single PASS/FAIL line (run pytest with -s or check
 the captured output).  Runtime budgets are enforced inside the suites
 themselves, so a pass here certifies both correctness and speed.
 """
+import ast
+import glob
+import os
+import subprocess
+import sys
+
 import pytest
 
 from semap.verification import SUITES, run_suite
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 _ORDERED = [
     ("admissible", "1 enumeration exactness at max-gon 50"),
@@ -31,3 +39,29 @@ def test_criterion(suite, label):
     result = run_suite(suite)
     print(f"criterion {label}: {result.line()}")
     assert result.passed, result.detail
+
+
+def test_no_assert_in_package():
+    # python -O strips assert statements, so no check may rely on one
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "semap", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found.extend(
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        )
+    assert not found, f"assert statements in src/semap: {found}"
+
+
+def test_identify_suite_passes_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "semap.cli", "verify", "--suite", "identify"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("PASS identify:")

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from semap.catalog import archimedean
 from semap.cli import main
-from semap.map_core import parse_map_text
+from semap.map_core import format_map_text, parse_map_text
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def run(capsys, *argv):
@@ -214,10 +220,56 @@ def test_pipeline_build_apply_classify(capsys, tmp_path):
     assert stdout.startswith("name=icosidodecahedron")
 
 
-def test_thread_env_validation(capsys, monkeypatch):
+def test_semap_threads_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("SEMAP_THREADS", "zero")
-    code, _, stderr = run(capsys, "verify", "--suite", "counts")
-    assert code == 2
-    monkeypatch.setenv("SEMAP_THREADS", "2")
-    code, stdout, _ = run(capsys, "verify", "--suite", "counts")
+    code, stdout, stderr = run(capsys, "verify", "--suite", "counts")
     assert code == 0
+    assert stdout.startswith("PASS counts:")
+    assert stderr == ""
+
+
+@pytest.mark.parametrize("content", [None, b"map 4\n\xff\xfe\n"], ids=["missing", "not-utf8"])
+def test_unreadable_input_file_is_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "in.map"
+    if content is not None:
+        path.write_bytes(content)
+    code, _, stderr = run(capsys, "classify", "--in", str(path))
+    assert code == 2
+    assert f"usage error: cannot read {path}" in stderr
+
+
+def test_superscript_digit_header_is_parse_error(capsys, tmp_path):
+    # "²".isdigit() holds, but int() rejects it
+    bad = tmp_path / "bad.map"
+    bad.write_text("map ²\nf 0 1 2\n", encoding="utf-8")
+    code, _, stderr = run(capsys, "classify", "--in", str(bad))
+    assert code == 2
+    assert "parse error" in stderr and "malformed map header" in stderr
+
+
+def test_superscript_digit_family_parameter_is_unknown_name(capsys, tmp_path):
+    code, _, stderr = run(capsys, "build", "prism-²", "--out", str(tmp_path / "p.map"))
+    assert code == 1
+    assert "UnknownName" in stderr
+
+
+def test_closed_stdout_reader_exits_cleanly():
+    # The read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails whatever the scheduling.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "semap.cli", "autgroup"],
+            input=format_map_text(archimedean("snub-cube").map),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: BrokenPipeError" in proc.stderr

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +104,35 @@ def test_disconnected_rejected():
 def test_vertex_id_gap_rejected():
     with pytest.raises(InvalidFaceList):
         build_map([(0, 1, 3), (0, 1, 4), (0, 3, 4), (1, 3, 4)])
+
+
+def test_sparse_vertex_id_rejected_in_bounded_memory():
+    # Run in a child capped at 2 GiB of address space, so that an error
+    # path which materialises every id up to 10**11 fails with
+    # MemoryError there instead of exhausting the machine.
+    script = textwrap.dedent(
+        """
+        import resource
+        limit = 2 * 1024 ** 3
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        from semap.errors import InvalidFaceList
+        from semap.map_core import build_map
+        try:
+            build_map([(0, 1, 99999999999)])
+        except InvalidFaceList as exc:
+            print("InvalidFaceList:", exc)
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InvalidFaceList: vertex ids not dense, missing [2, 3, 4, 5]")
 
 
 def test_torus_rejected():
