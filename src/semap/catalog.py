@@ -16,7 +16,14 @@ import functools
 import os
 from dataclasses import dataclass
 
-from semap.errors import InvariantViolated, MaxGonTooSmall, NoFreeInvolution, NTooSmall, UnknownName
+from semap.errors import (
+    InvariantViolated,
+    MaxGonTooSmall,
+    NoFreeInvolution,
+    NTooSmall,
+    TooLarge,
+    UnknownName,
+)
 from semap.map_core import PolyhedralMap, build_map, format_map_text, square_neighbour_counts
 from semap.operators import (
     canonical_seed_diagonal,
@@ -238,6 +245,10 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
     return entry
 
 
+# prism-10000 builds in seconds; far larger drums would exhaust memory
+MAX_FAMILY_PARAMETER = 10_000
+
+
 def entry_by_name(name: str) -> CatalogEntry:
     """Resolve any catalog grammar name, including prism-N / antiprism-N."""
     if name in PLATONIC_NAMES:
@@ -251,7 +262,11 @@ def entry_by_name(name: str) -> CatalogEntry:
             suffix = name[len(prefix):]
             if not suffix.isdecimal():
                 raise UnknownName(f"bad family parameter in {name!r}")
-            return maker(int(suffix))
+            # compare the length first: int() refuses over 4300 digits
+            digits = suffix.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_FAMILY_PARAMETER)) or int(digits) > MAX_FAMILY_PARAMETER:
+                raise TooLarge(f"{prefix}N needs N <= {MAX_FAMILY_PARAMETER}")
+            return maker(int(digits))
     raise UnknownName(f"unknown catalog name {name!r}")
 
 

@@ -21,7 +21,13 @@ from semap.errors import (
     WrongShape,
     WrongSphere,
 )
-from semap.map_core import PolyhedralMap, build_map, face_key, format_map_text, square_neighbour_counts
+from semap.map_core import (
+    PolyhedralMap,
+    build_map,
+    faces_meet_properly,
+    format_map_text,
+    square_neighbour_counts,
+)
 from semap.operators import inverse_rectification, inverse_truncation, remove_deep_blue
 from semap.symmetry import are_isomorphic, canonical_certificate, cycle_notation, isomorphism_witness
 from semap.vtype import (
@@ -241,24 +247,10 @@ class _Generator:
 
     def _try_add(self, seq: tuple[int, ...]) -> bool:
         k = len(seq)
-        key = face_key(seq)
+        vertices = set(seq)
         for f in self.faces:
-            shared = set(f) & set(seq)
-            if len(shared) > 2:
+            if not faces_meet_properly(f, seq, vertices.intersection(f)):
                 return False
-            if face_key(f) == key:
-                return False
-            if len(shared) == 2:
-                u, v = shared
-                e = (u, v) if u < v else (v, u)
-                in_new = any(
-                    {seq[i], seq[(i + 1) % k]} == {u, v} for i in range(k)
-                )
-                in_old = any(
-                    {f[i], f[(i + 1) % len(f)]} == {u, v} for i in range(len(f))
-                )
-                if not (in_new and in_old and self.edge_uses.get(e, 0) >= 1):
-                    return False
         for i in range(k):
             a, b = seq[i], seq[(i + 1) % k]
             e = (a, b) if a < b else (b, a)

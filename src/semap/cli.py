@@ -284,6 +284,7 @@ def _cmd_verify(args) -> int:
                         "passed": r.passed,
                         "detail": r.detail,
                         "elapsed": r.elapsed,
+                        "budget": r.budget,
                     }
                     for r in results
                 ]

@@ -7,9 +7,11 @@ circulation satisfies the full battery of invariants:
 
 * faces are simple polygons with at least 3 distinct vertices,
 * every edge lies in exactly two distinct faces,
-* two faces meet in nothing, one vertex, or one edge,
+* two faces meet in nothing, one vertex, or one edge (checked for the
+  pairs of faces at each vertex, since faces that meet share one),
 * the faces around each vertex form a single cycle,
-* the underlying graph is connected,
+* the underlying graph is connected (checked on the faces, which are
+  connected exactly when the vertices are),
 * the Euler characteristic is 2 (sphere) or 1 (projective plane).
 
 Only those two surfaces are supported.
@@ -208,17 +210,30 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
     edges = tuple(sorted(edge_faces_all))
     edge_faces = {e: tuple(edge_faces_all[e]) for e in edges}
 
-    _check_pairwise_intersections(faces, edge_faces_all)
+    # Faces that meet share a vertex, so only the pairs at each vertex
+    # are checked, each once: at its least shared vertex.
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, f in enumerate(faces):
+        for v in f:
+            incident[v].append(i)
+    sets = [set(f) for f in faces]
+    for v, inc in enumerate(incident):
+        for a, i in enumerate(inc):
+            for j in inc[a + 1:]:
+                shared = sets[i] & sets[j]
+                if min(shared) == v and not faces_meet_properly(faces[i], faces[j], shared):
+                    raise NonPolyhedralIntersection(
+                        f"faces {i} and {j} share vertices {sorted(shared)}, "
+                        "not one vertex or one edge"
+                    )
 
-    rotations, links = _vertex_rotations(n, faces, edge_faces)
+    rotations, links = _vertex_rotations(faces, edge_faces, incident)
 
-    _check_connected(n, edges)
+    orientable = _orientable(faces, edge_faces)
 
     chi = n - len(edges) + len(faces)
     if chi not in (2, 1):
         raise UnsupportedSurface(f"Euler characteristic {chi} is not 2 or 1")
-
-    orientable = _orientable(faces, edge_faces)
     # closed-surface classification: chi 2 is the sphere, chi 1 the
     # projective plane; a mismatch here would be a logic error
     if orientable != (chi == 2):
@@ -227,45 +242,27 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
     return PolyhedralMap(n, faces, edges, edge_faces, rotations, links, orientable)
 
 
-def _check_pairwise_intersections(faces, edge_faces_all):
-    sets = [set(f) for f in faces]
-    adjacency = {}  # face pair -> shared edge count
-    for e, (i, j) in ((e, inc) for e, inc in edge_faces_all.items()):
-        pair = (i, j) if i < j else (j, i)
-        adjacency[pair] = adjacency.get(pair, 0) + 1
-    for pair, count in adjacency.items():
-        if count > 1:
-            raise NonPolyhedralIntersection(f"faces {pair} share {count} edges")
-    for i in range(len(faces)):
-        for j in range(i + 1, len(faces)):
-            shared = sets[i] & sets[j]
-            if len(shared) > 2:
-                raise NonPolyhedralIntersection(
-                    f"faces {i} and {j} share {len(shared)} vertices"
-                )
-            if len(shared) == 2:
-                u, v = shared
-                if adjacency.get((i, j), 0) != 1:
-                    raise NonPolyhedralIntersection(
-                        f"faces {i} and {j} share vertices {u},{v} but no common edge"
-                    )
-
-
 def _corner(face: Face, v: int) -> tuple[int, int]:
     i = face.index(v)
     return face[i - 1], face[(i + 1) % len(face)]
 
 
-def _vertex_rotations(n, faces, edge_faces):
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for i, f in enumerate(faces):
-        for v in f:
-            incident[v].append(i)
+def faces_meet_properly(f: Face, g: Face, shared: set[int]) -> bool:
+    """Whether two distinct faces meet in nothing, one vertex or one edge.
 
+    ``shared`` is their common vertex set: at most two vertices, and two
+    only when they are consecutive in both faces.
+    """
+    if len(shared) != 2:
+        return len(shared) < 2
+    u, v = shared
+    return v in _corner(f, u) and v in _corner(g, u)
+
+
+def _vertex_rotations(faces, edge_faces, incident):
     rotations = []
     links = []
-    for v in range(n):
-        inc = incident[v]
+    for v, inc in enumerate(incident):
         d = len(inc)
         if d < 3:
             # a vertex of a closed polyhedral surface lies in >= 3 faces
@@ -299,28 +296,13 @@ def _vertex_rotations(n, faces, edge_faces):
     return tuple(rotations), tuple(links)
 
 
-def _check_connected(n, edges):
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    if count != n:
-        raise Disconnected(f"only {count} of {n} vertices reachable")
-
-
 def _orientable(faces, edge_faces) -> bool:
-    """Propagate face sides across edges; a sign conflict means non-orientable."""
+    """Propagate face sides across edges; a sign conflict means non-orientable.
+
+    The propagation runs to the end and raises Disconnected when it
+    leaves a face unreached: with the faces at every vertex in one
+    cycle, the faces are connected exactly when the vertices are.
+    """
     directed = []
     for f in faces:
         k = len(f)
@@ -334,16 +316,21 @@ def _orientable(faces, edge_faces) -> bool:
     sign = [0] * len(faces)
     sign[0] = 1
     stack = [0]
+    reached = 1
+    orientable = True
     while stack:
         i = stack.pop()
         for j, same_dir in neighbours[i]:
             want = -sign[i] if same_dir else sign[i]
             if sign[j] == 0:
                 sign[j] = want
+                reached += 1
                 stack.append(j)
             elif sign[j] != want:
-                return False
-    return True
+                orientable = False
+    if reached != len(faces):
+        raise Disconnected(f"only {reached} of {len(faces)} faces reachable")
+    return orientable
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +363,10 @@ def parse_map_text(text: str) -> PolyhedralMap:
                 raise MapFormatError(f"line {lineno}: map header after faces")
             if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise MapFormatError(f"line {lineno}: malformed map header")
-            declared = int(tokens[1])
+            try:
+                declared = int(tokens[1])
+            except ValueError:  # past int()'s 4300-digit limit
+                raise MapFormatError(f"line {lineno}: map header number too long") from None
         elif tokens[0] == "f":
             if declared is None:
                 raise MapFormatError(f"line {lineno}: face before map header")

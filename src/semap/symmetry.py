@@ -205,18 +205,7 @@ def is_free_involution(m: PolyhedralMap, sigma) -> bool:
 
 def free_involutions(m: PolyhedralMap) -> list[tuple[int, ...]]:
     """All automorphisms of order 2 acting freely on vertices, edges and faces."""
-    n = m.vertex_count
-    out = []
-    for sigma in automorphism_group(m).permutations:
-        if any(sigma[v] == v for v in range(n)):  # also drops the identity
-            continue
-        if (
-            all(sigma[sigma[v]] == v for v in range(n))
-            and _edge_orbit_free(m, sigma)
-            and _face_orbit_free(m, sigma)
-        ):
-            out.append(sigma)
-    return out
+    return [s for s in automorphism_group(m).permutations if is_free_involution(m, s)]
 
 
 def quotient(m: PolyhedralMap, sigma) -> PolyhedralMap:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -273,3 +274,52 @@ def test_closed_stdout_reader_exits_cleanly():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "error: BrokenPipeError" in proc.stderr
+
+
+@pytest.mark.parametrize("suite,budget", [("admissible", 5.0), ("counts", None)])
+def test_verify_json_reports_budget(capsys, suite, budget):
+    code, stdout, _ = run(capsys, "verify", "--suite", suite, "--json")
+    assert code == 0
+    [report] = json.loads(stdout)
+    assert report["suite"] == suite
+    assert report["budget"] == budget
+
+
+def test_oversized_header_number_is_parse_error(capsys, tmp_path):
+    # past the 4300 digits int() accepts by default
+    bad = tmp_path / "big.map"
+    bad.write_text("map " + "9" * 5000 + "\nf 0 1 2\n", encoding="utf-8")
+    code, _, stderr = run(capsys, "classify", "--in", str(bad))
+    assert code == 2
+    assert "parse error" in stderr and "map header number too long" in stderr
+
+
+def test_oversized_family_parameter_is_too_large(capsys, tmp_path):
+    code, _, stderr = run(capsys, "build", "prism-" + "9" * 5000, "--out", str(tmp_path / "p.map"))
+    assert code == 1
+    assert "error: TooLarge: prism-N needs N <= 10000" in stderr
+
+
+def test_huge_family_parameter_is_refused_in_bounded_memory(tmp_path):
+    # Run in a child capped at 1 GiB of address space, so that building
+    # a 2*10**8-vertex drum fails with MemoryError there instead of
+    # exhausting the machine.
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        limit = 1024 ** 3
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        from semap.cli import main
+        sys.exit(main(["build", "prism-100000000", "--out", sys.argv[1]]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "p.map")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: TooLarge: prism-N needs N <= 10000" in proc.stderr

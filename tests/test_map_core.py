@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semap.catalog import entry_by_name
 from semap.errors import (
     Disconnected,
     EdgeDegreeNotTwo,
@@ -17,6 +19,7 @@ from semap.errors import (
     NonPolyhedralIntersection,
     PinchedVertex,
     RepeatedVertexInFace,
+    SemapError,
     UnsupportedSurface,
 )
 from semap.map_core import build_map, face_cycle, format_map_text, parse_map_text
@@ -76,14 +79,89 @@ def test_open_edge_rejected():
         build_map(TETRA[:3])
 
 
-def test_nonpolyhedral_intersection_rejected():
-    # two squares sharing two opposite (non-adjacent) vertices
-    faces = [
-        (0, 1, 2, 3), (0, 2, 4), (1, 2, 4), (0, 1, 4),
-        (0, 3, 5), (2, 3, 5), (0, 2, 5),
+def _all_pairs_bad_pair(faces):
+    """The rule checked on every pair of faces, as an oracle: some two
+    faces share over two vertices, two edges, or two vertices but no edge."""
+    edges = [{frozenset((f[i - 1], f[i])) for i in range(len(f))} for f in faces]
+    for i, j in itertools.combinations(range(len(faces)), 2):
+        shared = set(faces[i]) & set(faces[j])
+        common = edges[i] & edges[j]
+        if len(shared) > 2 or len(common) > 1 or (len(shared) == 2 and not common):
+            return True
+    return False
+
+
+def _distances_from(m, source):
+    adj = [[] for _ in range(m.vertex_count)]
+    for a, b in m.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = {source: 0}
+    queue = collections.deque([source])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def _glued_face_lists(m):
+    """Face lists of ``m`` with two vertices at distance >= 3 made one,
+    relabelled densely, keeping those whose faces stay simple and whose
+    edges each lie in exactly two faces."""
+    for u in range(m.vertex_count):
+        for v, d in _distances_from(m, u).items():
+            if v < u or d < 3:
+                continue
+            faces = [tuple(u if x == v else x - (x > v) for x in f) for f in m.faces]
+            if any(len(set(f)) != len(f) for f in faces):
+                continue
+            uses = collections.Counter(frozenset((f[i - 1], f[i])) for f in faces for i in range(len(f)))
+            if set(uses.values()) == {2}:
+                yield faces
+
+
+def test_vertex_pair_check_matches_all_pairs_oracle():
+    names = [
+        "cube", "icosahedron", "dodecahedron", "cuboctahedron", "truncated-tetrahedron",
+        "truncated-octahedron", "prism-6", "antiprism-5", "snub-cube",
     ]
-    with pytest.raises(NonPolyhedralIntersection):
-        build_map(faces)
+    outcomes = collections.Counter()
+    for name in names:
+        for faces in _glued_face_lists(entry_by_name(name).map):
+            bad = _all_pairs_bad_pair(faces)
+            try:
+                build_map(faces)
+                rejected = False
+            except NonPolyhedralIntersection:
+                rejected = True
+            except SemapError:
+                rejected = False
+            assert rejected == bad, (name, faces)
+            outcomes[bad] += 1
+    # both verdicts occur, so the comparison says something either way
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
+
+
+def test_nonpolyhedral_intersection_rejected():
+    improper = [
+        # the cube with two antipodal vertices made one: (0, 1, 2, 3) and
+        # (1, 2, 0, 5) share three vertices
+        [(0, 1, 2, 3), (4, 5, 0, 6), (0, 1, 5, 4), (1, 2, 0, 5), (2, 3, 6, 0), (3, 0, 4, 6)],
+        # (0, 1, 2, 3) and (3, 2, 1, 4) share the edges 1-2 and 2-3
+        [(0, 1, 2, 3), (3, 2, 1, 4), (0, 1, 4, 3)],
+        # 0 and 2 are consecutive in (0, 2, 4) but opposite in (0, 1, 2, 3)
+        [
+            (0, 1, 2, 3), (0, 2, 4), (1, 2, 4), (0, 1, 4),
+            (0, 3, 5), (2, 3, 5), (0, 2, 5),
+        ],
+    ]
+    for faces in improper:
+        assert _all_pairs_bad_pair(faces)
+        with pytest.raises(NonPolyhedralIntersection):
+            build_map(faces)
 
 
 def test_pinched_vertex_rejected():
