@@ -32,7 +32,7 @@ from semap.operators import (
     rectify,
     truncate,
 )
-from semap.vtype import VertexType
+from semap.vtype import MAX_GON, VertexType
 
 _TETRAHEDRON = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 _OCTAHEDRON = (
@@ -207,7 +207,7 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
 
     boundary_edges = [
         e
-        for e, (f1, f2) in y.edge_faces.items()
+        for e, ((f1, _), (f2, _)) in y.edge_corners.items()
         if (f1 in cap) != (f2 in cap)
     ]
     rim_adj: dict[int, list[int]] = {}
@@ -245,8 +245,9 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
     return entry
 
 
-# prism-10000 builds in seconds; far larger drums would exhaust memory
-MAX_FAMILY_PARAMETER = 10_000
+# sphere_catalog(200) takes seconds and about 90 MiB; memory grows with
+# the square of the bound
+MAX_CATALOG_GON = 200
 
 
 def entry_by_name(name: str) -> CatalogEntry:
@@ -262,10 +263,11 @@ def entry_by_name(name: str) -> CatalogEntry:
             suffix = name[len(prefix):]
             if not suffix.isdecimal():
                 raise UnknownName(f"bad family parameter in {name!r}")
-            # compare the length first: int() refuses over 4300 digits
+            # a drum's largest face is its N-gon; compare the length
+            # first: int() refuses over 4300 digits
             digits = suffix.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_FAMILY_PARAMETER)) or int(digits) > MAX_FAMILY_PARAMETER:
-                raise TooLarge(f"{prefix}N needs N <= {MAX_FAMILY_PARAMETER}")
+            if len(digits) > len(str(MAX_GON)) or int(digits) > MAX_GON:
+                raise TooLarge(f"{prefix}N needs N <= {MAX_GON}")
             return maker(int(digits))
     raise UnknownName(f"unknown catalog name {name!r}")
 
@@ -278,6 +280,8 @@ def sphere_catalog(max_gon: int) -> list[CatalogEntry]:
     """
     if max_gon < 12:
         raise MaxGonTooSmall(f"max_gon {max_gon} < 12")
+    if max_gon > MAX_CATALOG_GON:
+        raise TooLarge(f"max_gon {max_gon} > {MAX_CATALOG_GON}")
     entries = [platonic(name) for name in PLATONIC_NAMES]
     entries.extend(archimedean(name) for name in ARCHIMEDEAN_NAMES)
     entries.append(pseudo_rhombicuboctahedron())

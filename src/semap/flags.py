@@ -7,49 +7,44 @@ is a traversal of this 3-regular coloured graph.
 """
 from __future__ import annotations
 
-from semap.map_core import PolyhedralMap, _norm_edge
+from semap.map_core import PolyhedralMap
 
 
 class FlagSystem:
-    """Move tables s0/s1/s2 over the 4*f1 flags of a map."""
+    """Move tables s0/s1/s2 over the 4*f1 flags of a map.
+
+    Corner c (the corners numbered face by face) carries flags 2c, on
+    the edge into the corner, and 2c+1, on the edge out of it.
+    """
 
     __slots__ = ("flag_count", "s0", "s1", "s2", "flag_vertex")
 
     def __init__(self, m: PolyhedralMap):
-        edge_id = {e: i for i, e in enumerate(m.edges)}
-        index: dict[tuple[int, int, int], int] = {}
+        first: list[int] = []  # corner number of each face's corner 0
         flag_vertex: list[int] = []
-        flag_edge: list[int] = []
-        flag_face: list[int] = []
-        s1: list[int] = []
-
-        for fi, face in enumerate(m.faces):
-            k = len(face)
-            for i in range(k):
-                v = face[i]
-                e_prev = edge_id[_norm_edge(face[i - 1], v)]
-                e_next = edge_id[_norm_edge(v, face[(i + 1) % k])]
-                a = len(flag_vertex)
-                index[(v, e_prev, fi)] = a
-                index[(v, e_next, fi)] = a + 1
+        for face in m.faces:
+            first.append(len(flag_vertex) // 2)
+            for v in face:
                 flag_vertex.extend((v, v))
-                flag_edge.extend((e_prev, e_next))
-                flag_face.extend((fi, fi))
-                s1.extend((a + 1, a))  # the two corner flags swap edges
 
         count = len(flag_vertex)
         s0 = [0] * count
+        s1 = [a ^ 1 for a in range(count)]  # the two corner flags swap edges
         s2 = [0] * count
-        for a in range(count):
-            v = flag_vertex[a]
-            e = flag_edge[a]
-            fi = flag_face[a]
-            u, w = m.edges[e]
-            other_v = w if v == u else u
-            s0[a] = index[(other_v, e, fi)]
-            f1, f2 = m.edge_faces[m.edges[e]]
-            other_f = f2 if fi == f1 else f1
-            s2[a] = index[(v, e, other_f)]
+        for (i, p), (j, q) in m.edge_corners.values():
+            # face i runs along the edge from its corner p to p+1: flag a
+            # leaves corner p and flag b enters the next; c, d likewise in j
+            fi, fj = m.faces[i], m.faces[j]
+            a = 2 * (first[i] + p) + 1
+            b = 2 * (first[i] + (p + 1) % len(fi))
+            c = 2 * (first[j] + q) + 1
+            d = 2 * (first[j] + (q + 1) % len(fj))
+            s0[a], s0[b], s0[c], s0[d] = b, a, d, c
+            # s2 keeps the vertex: a meets c when both faces run the
+            # edge the same way, d when they run it oppositely
+            if fi[p] != fj[q]:
+                c, d = d, c
+            s2[a], s2[c], s2[b], s2[d] = c, a, d, b
 
         self.flag_count = count
         self.s0 = s0

@@ -2,8 +2,12 @@
 
 A map is stored as its face list; everything else (edges, rotations,
 orientability, Euler characteristic) is derived at build time.  The
-factory ``build_map`` validates polyhedrality, so any PolyhedralMap in
-circulation satisfies the full battery of invariants:
+derivation starts from one edge table, ``edge_corners``: for every edge
+its two face corners ``(i, j)``, where face ``i`` runs along the edge as
+``(f[j], f[j+1])``.  Rotations, orientation and the flag tables of
+``semap.flags`` all read that table.  The factory ``build_map``
+validates polyhedrality, so any PolyhedralMap in circulation satisfies
+the full battery of invariants:
 
 * faces are simple polygons with at least 3 distinct vertices,
 * every edge lies in exactly two distinct faces,
@@ -41,14 +45,19 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def face_key(face: Sequence[int]) -> Face:
-    """Canonical key of a polygon: least rotation over both directions."""
-    seqs = (tuple(face), tuple(reversed(face)))
+    """Canonical key of a polygon: least rotation over both directions.
+
+    Only rotations that start at the least entry can win, so only those
+    are built: one per direction when the entries are distinct.
+    """
+    least = min(face)
     best = None
-    for seq in seqs:
-        for r in range(len(seq)):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
+    for seq in (tuple(face), tuple(reversed(face))):
+        for r, x in enumerate(seq):
+            if x == least:
+                cand = seq[r:] + seq[:r]
+                if best is None or cand < best:
+                    best = cand
     return best
 
 
@@ -70,18 +79,18 @@ class PolyhedralMap:
         "vertex_count",
         "faces",
         "edges",
-        "edge_faces",
+        "edge_corners",
         "rotations",
         "links",
         "orientable",
         "_cache",
     )
 
-    def __init__(self, vertex_count, faces, edges, edge_faces, rotations, links, orientable):
+    def __init__(self, vertex_count, faces, edges, edge_corners, rotations, links, orientable):
         self.vertex_count = vertex_count
         self.faces = faces              # tuple of vertex cycles
         self.edges = edges              # sorted tuple of (u, v) pairs, u < v
-        self.edge_faces = edge_faces    # edge -> (face id, face id)
+        self.edge_corners = edge_corners  # edge -> its two corners (face id, j)
         self.rotations = rotations      # per vertex: cyclic tuple of face ids
         self.links = links              # per vertex: cyclic tuple of neighbours
         self.orientable = orientable
@@ -147,7 +156,7 @@ def face_keys(m: PolyhedralMap) -> frozenset[Face]:
 def square_neighbour_counts(m: PolyhedralMap) -> dict[int, int]:
     """Square face id -> number of squares sharing an edge with it."""
     counts = {i: 0 for i, f in enumerate(m.faces) if len(f) == 4}
-    for f1, f2 in m.edge_faces.values():
+    for (f1, _), (f2, _) in m.edge_corners.values():
         if f1 in counts and f2 in counts:
             counts[f1] += 1
             counts[f2] += 1
@@ -196,30 +205,30 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
             raise EdgeDegreeNotTwo(f"faces {keys[k]} and {i} are the same polygon")
         keys[k] = i
 
-    # derive edges
-    edge_faces_all: dict[tuple[int, int], list[int]] = {}
+    # derive edges, each with its two corners
+    corners_all: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, f in enumerate(faces):
         k = len(f)
         for j in range(k):
             e = _norm_edge(f[j], f[(j + 1) % k])
-            edge_faces_all.setdefault(e, []).append(i)
-    for e, inc in edge_faces_all.items():
+            corners_all.setdefault(e, []).append((i, j))
+    for e, inc in corners_all.items():
         if len(inc) != 2:
             raise EdgeDegreeNotTwo(f"edge {e} lies in {len(inc)} faces")
 
-    edges = tuple(sorted(edge_faces_all))
-    edge_faces = {e: tuple(edge_faces_all[e]) for e in edges}
+    edges = tuple(sorted(corners_all))
+    edge_corners = {e: tuple(corners_all[e]) for e in edges}
 
     # Faces that meet share a vertex, so only the pairs at each vertex
     # are checked, each once: at its least shared vertex.
-    incident: list[list[int]] = [[] for _ in range(n)]
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, f in enumerate(faces):
-        for v in f:
-            incident[v].append(i)
+        for j, v in enumerate(f):
+            incident[v].append((i, j))
     sets = [set(f) for f in faces]
     for v, inc in enumerate(incident):
-        for a, i in enumerate(inc):
-            for j in inc[a + 1:]:
+        for a, (i, _) in enumerate(inc):
+            for j, _ in inc[a + 1:]:
                 shared = sets[i] & sets[j]
                 if min(shared) == v and not faces_meet_properly(faces[i], faces[j], shared):
                     raise NonPolyhedralIntersection(
@@ -227,9 +236,9 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
                         "not one vertex or one edge"
                     )
 
-    rotations, links = _vertex_rotations(faces, edge_faces, incident)
+    rotations, links = _vertex_rotations(faces, edge_corners, incident)
 
-    orientable = _orientable(faces, edge_faces)
+    orientable = _orientable(faces, edge_corners)
 
     chi = n - len(edges) + len(faces)
     if chi not in (2, 1):
@@ -239,7 +248,7 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
     if orientable != (chi == 2):
         raise InvariantViolated("orientability inconsistent with Euler characteristic")
 
-    return PolyhedralMap(n, faces, edges, edge_faces, rotations, links, orientable)
+    return PolyhedralMap(n, faces, edges, edge_corners, rotations, links, orientable)
 
 
 def _corner(face: Face, v: int) -> tuple[int, int]:
@@ -259,7 +268,7 @@ def faces_meet_properly(f: Face, g: Face, shared: set[int]) -> bool:
     return v in _corner(f, u) and v in _corner(g, u)
 
 
-def _vertex_rotations(faces, edge_faces, incident):
+def _vertex_rotations(faces, edge_corners, incident):
     rotations = []
     links = []
     for v, inc in enumerate(incident):
@@ -267,50 +276,47 @@ def _vertex_rotations(faces, edge_faces, incident):
         if d < 3:
             # a vertex of a closed polyhedral surface lies in >= 3 faces
             raise PinchedVertex(f"vertex {v} lies in only {d} faces")
-        f0 = min(inc)
-        a, b = _corner(faces[f0], v)
+        f0, p = inc[0]  # v's corner in its least face
+        g = faces[f0]
+        a = g[p - 1]
         rot = [f0]
         link = [a]
         seen = {f0}
-        cur_f, cur_u = f0, b
-        ok = True
+        cur_f, cur_u = f0, g[(p + 1) % len(g)]
         for _ in range(d - 1):
-            g1, g2 = edge_faces[_norm_edge(v, cur_u)]
-            nf = g2 if g1 == cur_f else g1
+            c1, c2 = edge_corners[_norm_edge(v, cur_u)]
+            nf, q = c2 if c1[0] == cur_f else c1
             if nf in seen:
-                ok = False
-                break
-            x, y = _corner(faces[nf], v)
-            nxt = y if x == cur_u else x
+                raise PinchedVertex(f"faces at vertex {v} do not form a single cycle")
+            # nf runs along the edge as (g[q], g[q+1]); v's other
+            # neighbour in nf lies beyond v
+            g = faces[nf]
+            nxt = g[q - 1] if g[q] == v else g[(q + 2) % len(g)]
             rot.append(nf)
             link.append(cur_u)
             seen.add(nf)
             cur_f, cur_u = nf, nxt
-        if not ok or cur_u != a:
+        if cur_u != a:
             raise PinchedVertex(f"faces at vertex {v} do not form a single cycle")
-        g1, g2 = edge_faces[_norm_edge(v, a)]
-        if (g2 if g1 == cur_f else g1) != f0:
+        c1, c2 = edge_corners[_norm_edge(v, a)]
+        if (c2 if c1[0] == cur_f else c1)[0] != f0:
             raise PinchedVertex(f"faces at vertex {v} do not close up")
         rotations.append(tuple(rot))
         links.append(tuple(link))
     return tuple(rotations), tuple(links)
 
 
-def _orientable(faces, edge_faces) -> bool:
+def _orientable(faces, edge_corners) -> bool:
     """Propagate face sides across edges; a sign conflict means non-orientable.
 
     The propagation runs to the end and raises Disconnected when it
     leaves a face unreached: with the faces at every vertex in one
     cycle, the faces are connected exactly when the vertices are.
     """
-    directed = []
-    for f in faces:
-        k = len(f)
-        directed.append({(f[i], f[(i + 1) % k]) for i in range(k)})
     # neighbours[i]: (j, same_dir) for each edge shared between faces i and j
     neighbours: list[list[tuple[int, bool]]] = [[] for _ in range(len(faces))]
-    for (u, v), (i, j) in edge_faces.items():
-        same_dir = ((u, v) in directed[i]) == ((u, v) in directed[j])
+    for (i, p), (j, q) in edge_corners.values():
+        same_dir = faces[i][p] == faces[j][q]
         neighbours[i].append((j, same_dir))
         neighbours[j].append((i, same_dir))
     sign = [0] * len(faces)

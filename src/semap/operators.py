@@ -109,26 +109,22 @@ def minority_links(x: PolyhedralMap, size: int) -> list[tuple[int, int]]:
     return links
 
 
-def _contract(x: PolyhedralMap, minority_size: int) -> PolyhedralMap:
-    """Shrink each minority face to a node; majority faces become the cycles."""
-    members, node_of = _face_partition(x, minority_size)
-    minority_ids = set(members)
+def _contract(x: PolyhedralMap, members: list[int]) -> PolyhedralMap:
+    """Shrink each member face to a node; the other faces become the cycles."""
+    node_of_face = {fi: idx for idx, fi in enumerate(members)}
     faces = []
     for fi, face in enumerate(x.faces):
-        if fi in minority_ids:
+        if fi in node_of_face:
             continue
         k = len(face)
         cycle = []
         for i in range(k):
-            e = _norm_edge(face[i], face[(i + 1) % k])
-            g1, g2 = x.edge_faces[e]
+            (g1, _), (g2, _) = x.edge_corners[_norm_edge(face[i], face[(i + 1) % k])]
             other = g2 if g1 == fi else g1
-            if other in minority_ids:
-                cycle.append(node_of[x.faces[other][0]])
+            if other in node_of_face:
+                cycle.append(node_of_face[other])
         if len(set(cycle)) != len(cycle):
-            raise MultiEdgeDetected(
-                f"face {fi} touches a {minority_size}-gon more than once"
-            )
+            raise MultiEdgeDetected(f"face {fi} touches a contracted face more than once")
         faces.append(tuple(cycle))
     return build_map(faces)
 
@@ -154,14 +150,14 @@ def inverse_truncation(x: PolyhedralMap) -> PolyhedralMap:
             bad = [pair for pair, c in pair_counts.items() if c > 1]
             if bad:
                 raise MultiEdgeDetected(f"double link between corner polygons {bad[0]}")
-            return _contract(x, p)
+            return _contract(x, _face_partition(x, p)[0])
     if (
         len(runs) == 3
         and all(n == 1 for _, n in runs)
         and sorted(p for p, _ in runs)[0] == 4
         and all(p % 2 == 0 for p, _ in runs)
     ):
-        return _contract(x, 4)
+        return _contract(x, _face_partition(x, 4)[0])
     raise WrongShape(f"cannot invert truncation on type {t}")
 
 
@@ -184,33 +180,17 @@ def inverse_rectification(x: PolyhedralMap) -> PolyhedralMap:
     p = candidates[0]
 
     members = [i for i, f in enumerate(x.faces) if len(f) == p]
-    node_ids = set(members)
-    node_of_face = {fi: idx for idx, fi in enumerate(members)}
     incidence = [0] * x.vertex_count
     for fi in members:
         for v in x.faces[fi]:
             incidence[v] += 1
     if any(c != 2 for c in incidence):
         raise WrongShape(f"{p}-gons do not cover every vertex twice")
-    for pair, fs in ((e, x.edge_faces[e]) for e in x.edges):
-        if fs[0] in node_ids and fs[1] in node_ids:
-            raise WrongShape(f"{p}-gons share the edge {pair}")
-
-    faces = []
-    for fi, face in enumerate(x.faces):
-        if fi in node_ids:
-            continue
-        k = len(face)
-        cycle = []
-        for i in range(k):
-            e = _norm_edge(face[i], face[(i + 1) % k])
-            g1, g2 = x.edge_faces[e]
-            other = g2 if g1 == fi else g1
-            if other not in node_ids:
-                raise WrongShape(f"edge {e} does not border a {p}-gon")
-            cycle.append(node_of_face[other])
-        faces.append(tuple(cycle))
-    return build_map(faces)
+    node_ids = set(members)
+    for e, ((f1, _), (f2, _)) in x.edge_corners.items():
+        if (f1 in node_ids) == (f2 in node_ids):
+            raise WrongShape(f"edge {e} does not border exactly one {p}-gon")
+    return _contract(x, members)
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +228,7 @@ def edge_coloring(x: PolyhedralMap) -> EdgeColoring:
 
     red = set()
     blue = set()
-    for e, (f1, f2) in ((e, x.edge_faces[e]) for e in x.edges):
+    for e, ((f1, _), (f2, _)) in x.edge_corners.items():
         s1, s2 = len(x.faces[f1]), len(x.faces[f2])
         if s1 == 3 and s2 == 3:
             blue.add(e)
@@ -293,7 +273,7 @@ def remove_deep_blue(x: PolyhedralMap) -> PolyhedralMap:
     drop = set()
     squares = []
     for u, v in sorted(colouring.deep_blue):
-        f1, f2 = x.edge_faces[(u, v)]
+        (f1, _), (f2, _) = x.edge_corners[(u, v)]
         drop.update((f1, f2))
         (a,) = set(x.faces[f1]) - {u, v}
         (b,) = set(x.faces[f2]) - {u, v}

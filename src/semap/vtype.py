@@ -21,11 +21,17 @@ from semap.errors import (
     NonIntegerCount,
     NonPositiveDefect,
     SizeTooSmall,
+    TooLarge,
     TypeSyntaxError,
 )
 from semap.map_core import PolyhedralMap, face_key
 
 Runs = tuple[tuple[int, int], ...]
+
+# The largest face size enumerate_admissible and catalog.entry_by_name
+# accept: at this bound the enumeration, like building prism-10000,
+# takes a few seconds.
+MAX_GON = 10_000
 
 
 def _run_length(seq: tuple[int, ...]) -> Runs:
@@ -281,6 +287,8 @@ def enumerate_admissible(max_gon: int) -> AdmissibleEnumeration:
     """
     if max_gon < 12:
         raise MaxGonTooSmall(f"max_gon {max_gon} < 12")
+    if max_gon > MAX_GON:
+        raise TooLarge(f"max_gon {max_gon} > {MAX_GON}")
 
     survivors: list[VertexType] = []
     # positive defect forces degree < 6 (sum of (p-2)/p >= d/3)

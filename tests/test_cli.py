@@ -323,3 +323,34 @@ def test_huge_family_parameter_is_refused_in_bounded_memory(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "error: TooLarge: prism-N needs N <= 10000" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enum-types", "--max-gon", "100000000"], ["sphere-catalog", "--max-gon", "100000000", "--out", "catalog"]],
+    ids=["enum-types", "sphere-catalog"],
+)
+def test_huge_max_gon_is_too_large(tmp_path, argv):
+    # Capped at 1 GiB of address space like the test above, so that an
+    # unbounded enumeration or catalog fails in the child, not the machine.
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        limit = 1024 ** 3
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        from semap.cli import main
+        sys.exit(main(sys.argv[1:]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: TooLarge: max_gon 100000000 >" in proc.stderr
+    assert not (tmp_path / "catalog").exists()

@@ -98,6 +98,7 @@ _arg_token = st.one_of(
 )
 @example(command="classify", args=[], stdin=_HUGE_HEADER)
 @example(command="build", args=["prism-" + "9" * 5000], stdin="")
+@example(command="enum-types", args=["--max-gon", "100000000"], stdin="")
 def test_cli_main_returns_an_exit_code(command, args, stdin):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()

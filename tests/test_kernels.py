@@ -1,9 +1,11 @@
-"""The pruned canonical search against an exhaustive all-starts oracle.
+"""The flag tables and the pruned canonical search against oracles.
 
-The oracle runs one full BFS from every start flag: the least code is
-the certificate, and every start whose code equals the best start's
-code gives one automorphism.  The pruned search must give the same code
-bytes, start flag and automorphism group on relabelled inputs.
+The flag-table oracle is the construction from (vertex, edge, face)
+triples: the flag tables read off the edge-corner table must equal it.
+The search oracle runs one full BFS from every start flag: the least
+code is the certificate, and every start whose code equals the best
+start's code gives one automorphism.  The pruned search must give the
+same code bytes, start flag and automorphism group on relabelled inputs.
 """
 import random
 import struct
@@ -64,6 +66,68 @@ CASES = [
     (e.name, _relabel(e.map, _RNG))
     for e in sphere_catalog(12) + rp2_catalog() + [prism(100)]
 ]
+
+
+def flag_tables_oracle(m):
+    """s0, s1, s2 and flag_vertex indexed by (vertex, edge, face) triples.
+
+    Corner i of face fi carries the flags of its edge into and out of
+    the corner, in that order; the faces of each edge are found from
+    the face list alone.
+    """
+    edge_id = {e: i for i, e in enumerate(m.edges)}
+    edge_faces = [[] for _ in m.edges]
+    index = {}
+    flag_vertex, flag_edge, flag_face, s1 = [], [], [], []
+    for fi, face in enumerate(m.faces):
+        k = len(face)
+        for i, v in enumerate(face):
+            e_prev = edge_id[tuple(sorted((face[i - 1], v)))]
+            e_next = edge_id[tuple(sorted((v, face[(i + 1) % k])))]
+            a = len(flag_vertex)
+            index[(v, e_prev, fi)] = a
+            index[(v, e_next, fi)] = a + 1
+            flag_vertex += [v, v]
+            flag_edge += [e_prev, e_next]
+            flag_face += [fi, fi]
+            s1 += [a + 1, a]
+            edge_faces[e_next].append(fi)
+    s0, s2 = [], []
+    for v, e, fi in zip(flag_vertex, flag_edge, flag_face):
+        u, w = m.edges[e]
+        s0.append(index[(w if v == u else u, e, fi)])
+        f1, f2 = edge_faces[e]
+        s2.append(index[(v, e, f2 if fi == f1 else f1)])
+    return s0, s1, s2, flag_vertex
+
+
+def _reversed_faces(m, rng):
+    """The same map with every face listed backwards from a random corner."""
+    faces = []
+    for f in m.faces:
+        r = rng.randrange(len(f))
+        faces.append(tuple(reversed(f[r:] + f[:r])))
+    return build_map(faces)
+
+
+_FLAG_CASES = [
+    (e.name, e.map) for e in sphere_catalog(12) + rp2_catalog()
+] + [
+    (f"relabelled-{name}", m) for name, m in CASES
+] + [
+    (f"reversed-{name}", _reversed_faces(m, _RNG)) for name, m in CASES
+] + [("prism-1000", prism(1000).map)]
+
+
+@pytest.mark.parametrize("m", [m for _, m in _FLAG_CASES], ids=[name for name, _ in _FLAG_CASES])
+def test_flag_tables_match_triple_oracle(m):
+    fs = flag_system(m)
+    assert (fs.s0, fs.s1, fs.s2, fs.flag_vertex) == flag_tables_oracle(m)
+    assert fs.flag_count == 4 * m.edge_count
+    flags = range(fs.flag_count)
+    for table in (fs.s0, fs.s1, fs.s2):
+        assert all(table[a] != a and table[table[a]] == a for a in flags)
+    assert all(fs.s0[fs.s2[a]] == fs.s2[fs.s0[a]] for a in flags)
 
 
 @pytest.mark.parametrize("m", [m for _, m in CASES], ids=[name for name, _ in CASES])

@@ -22,7 +22,7 @@ from semap.errors import (
     SemapError,
     UnsupportedSurface,
 )
-from semap.map_core import build_map, face_cycle, format_map_text, parse_map_text
+from semap.map_core import build_map, face_cycle, face_key, format_map_text, parse_map_text
 
 TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 OCTA = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (1, 2, 5), (2, 3, 5), (3, 4, 5), (4, 1, 5)]
@@ -72,6 +72,41 @@ def test_duplicate_face_rejected():
         build_map([(0, 1, 2), (0, 1, 2)])
     with pytest.raises(EdgeDegreeNotTwo):
         build_map([(0, 1, 2), (2, 1, 0)])  # same polygon reversed
+
+
+def _face_key_all_rotations(seq):
+    """Least of all 2k rotations of both directions: the old face key."""
+    best = None
+    for cand_seq in (tuple(seq), tuple(reversed(seq))):
+        for r in range(len(cand_seq)):
+            cand = cand_seq[r:] + cand_seq[:r]
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        # vertex-type sequences: few distinct entries, many repeats
+        st.lists(st.integers(3, 6), min_size=1, max_size=12),
+        # faces: distinct vertex ids
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=30, unique=True),
+    )
+)
+def test_face_key_matches_all_rotations_oracle(seq):
+    assert face_key(seq) == _face_key_all_rotations(seq)
+
+
+def test_edge_corners_run_along_their_edge():
+    for faces in (TETRA, OCTA, CUBE, RP2_6):
+        m = build_map(faces)
+        assert tuple(m.edge_corners) == m.edges
+        for (u, v), corners in m.edge_corners.items():
+            assert len({i for i, _ in corners}) == 2
+            for i, j in corners:
+                f = m.faces[i]
+                assert {f[j], f[(j + 1) % len(f)]} == {u, v}
 
 
 def test_open_edge_rejected():
