@@ -4,7 +4,9 @@ Only three Platonic face lists are hard-coded; everything else is
 produced by operator recipes (so the operator laws are exercised every
 time the catalog is built), by the drum face lists for the two infinite
 families, by cap gyration for the pseudorhombicuboctahedron, and by
-antipodal quotients for the projective-plane entries.
+antipodal quotients for the projective-plane entries.  The Archimedean
+recipes are the rows of one table, ``DERIVATIONS``, which
+``semap.classify.identify`` walks backwards.
 
 The constructors whose names form a finite set are memoized, so each
 of those entries, and the certificate cached on its map, is built once
@@ -16,6 +18,7 @@ import functools
 import os
 from dataclasses import dataclass
 
+from semap import operators
 from semap.errors import (
     InvariantViolated,
     MaxGonTooSmall,
@@ -25,13 +28,6 @@ from semap.errors import (
     UnknownName,
 )
 from semap.map_core import PolyhedralMap, build_map, format_map_text, square_neighbour_counts
-from semap.operators import (
-    canonical_seed_diagonal,
-    dual,
-    insert_diagonal_matching,
-    rectify,
-    truncate,
-)
 from semap.vtype import MAX_GON, VertexType
 
 _TETRAHEDRON = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -55,21 +51,27 @@ _ICOSAHEDRON = tuple(
 
 PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 
-ARCHIMEDEAN_NAMES = (
-    "truncated-tetrahedron",
-    "truncated-cube",
-    "truncated-octahedron",
-    "truncated-dodecahedron",
-    "truncated-icosahedron",
-    "cuboctahedron",
-    "icosidodecahedron",
-    "small-rhombicuboctahedron",
-    "great-rhombicuboctahedron",
-    "small-rhombicosidodecahedron",
-    "great-rhombicosidodecahedron",
-    "snub-cube",
-    "snub-dodecahedron",
-)
+# Archimedean name -> (function of semap.operators, the entry it is
+# applied to).  Operators are named, not held: each call looks the
+# function up on the module, so a wrapper bound there (as perfbench's
+# tracer binds one) sees every call.
+DERIVATIONS = {
+    "truncated-tetrahedron": ("truncate", "tetrahedron"),
+    "truncated-cube": ("truncate", "cube"),
+    "truncated-octahedron": ("truncate", "octahedron"),
+    "truncated-dodecahedron": ("truncate", "dodecahedron"),
+    "truncated-icosahedron": ("truncate", "icosahedron"),
+    "cuboctahedron": ("rectify", "cube"),
+    "icosidodecahedron": ("rectify", "dodecahedron"),
+    "small-rhombicuboctahedron": ("rectify", "cuboctahedron"),
+    "great-rhombicuboctahedron": ("truncate", "cuboctahedron"),
+    "small-rhombicosidodecahedron": ("rectify", "icosidodecahedron"),
+    "great-rhombicosidodecahedron": ("truncate", "icosidodecahedron"),
+    "snub-cube": ("insert_diagonal_matching", "small-rhombicuboctahedron"),
+    "snub-dodecahedron": ("insert_diagonal_matching", "small-rhombicosidodecahedron"),
+}
+
+ARCHIMEDEAN_NAMES = tuple(DERIVATIONS)
 
 
 @dataclass(frozen=True)
@@ -132,57 +134,17 @@ def platonic(name: str) -> CatalogEntry:
     if name == "cube":
         return _entry(name, prism(4).map, "prism(4)")
     if name == "dodecahedron":
-        return _entry(name, dual(platonic("icosahedron").map), "dual(icosahedron)")
+        return _entry(name, operators.dual(platonic("icosahedron").map), "dual(icosahedron)")
     raise UnknownName(f"unknown Platonic solid {name!r}")
-
-
-def _snub(base_name: str) -> PolyhedralMap:
-    base = archimedean(base_name).map
-    return insert_diagonal_matching(base, canonical_seed_diagonal(base))
-
-
-_ARCHIMEDEAN_RECIPES = {
-    "truncated-tetrahedron": ("truncate(tetrahedron)", lambda: truncate(platonic("tetrahedron").map)),
-    "truncated-cube": ("truncate(cube)", lambda: truncate(platonic("cube").map)),
-    "truncated-octahedron": ("truncate(octahedron)", lambda: truncate(platonic("octahedron").map)),
-    "truncated-dodecahedron": ("truncate(dodecahedron)", lambda: truncate(platonic("dodecahedron").map)),
-    "truncated-icosahedron": ("truncate(icosahedron)", lambda: truncate(platonic("icosahedron").map)),
-    "cuboctahedron": ("rectify(cube)", lambda: rectify(platonic("cube").map)),
-    "icosidodecahedron": ("rectify(dodecahedron)", lambda: rectify(platonic("dodecahedron").map)),
-    "small-rhombicuboctahedron": (
-        "rectify(cuboctahedron)",
-        lambda: rectify(archimedean("cuboctahedron").map),
-    ),
-    "great-rhombicuboctahedron": (
-        "truncate(cuboctahedron)",
-        lambda: truncate(archimedean("cuboctahedron").map),
-    ),
-    "small-rhombicosidodecahedron": (
-        "rectify(icosidodecahedron)",
-        lambda: rectify(archimedean("icosidodecahedron").map),
-    ),
-    "great-rhombicosidodecahedron": (
-        "truncate(icosidodecahedron)",
-        lambda: truncate(archimedean("icosidodecahedron").map),
-    ),
-    "snub-cube": (
-        "insert_diagonal_matching(small-rhombicuboctahedron)",
-        lambda: _snub("small-rhombicuboctahedron"),
-    ),
-    "snub-dodecahedron": (
-        "insert_diagonal_matching(small-rhombicosidodecahedron)",
-        lambda: _snub("small-rhombicosidodecahedron"),
-    ),
-}
 
 
 @functools.cache
 def archimedean(name: str) -> CatalogEntry:
     try:
-        recipe, maker = _ARCHIMEDEAN_RECIPES[name]
+        op, base = DERIVATIONS[name]
     except KeyError:
         raise UnknownName(f"unknown Archimedean solid {name!r}") from None
-    return _entry(name, maker(), recipe)
+    return _entry(name, getattr(operators, op)(entry_by_name(base).map), f"{op}({base})")
 
 
 @functools.cache

@@ -1,17 +1,19 @@
 """Decision procedure for spherical semi-equivelar maps.
 
 ``identify`` names the catalog entry of any valid spherical input by
-recursing through the inverse operators (contract corner polygons, undo
-rectification, open the snub matching) down to the Platonic, prism and
-antiprism base cases, then certifies the answer with an isomorphism
-witness.  ``exhaustive_generate`` is the independent small-scale oracle:
-an isomorph-free backtracking search over face lists.
+walking ``catalog.DERIVATIONS`` backwards through the inverse operators
+(contract corner polygons, undo rectification, open the snub matching)
+down to the Platonic, prism and antiprism base cases, then certifies
+the answer with an isomorphism witness.  ``exhaustive_generate`` is the
+independent small-scale oracle: a backtracking search over face lists
+whose complete maps are merged up to isomorphism.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from semap.catalog import PLATONIC_NAMES, entry_by_name, platonic
+from semap import operators
+from semap.catalog import DERIVATIONS, PLATONIC_NAMES, archimedean, entry_by_name, platonic
 from semap.errors import (
     ClassificationViolation,
     CountMismatch,
@@ -28,7 +30,6 @@ from semap.map_core import (
     format_map_text,
     square_neighbour_counts,
 )
-from semap.operators import inverse_rectification, inverse_truncation, remove_deep_blue
 from semap.symmetry import are_isomorphic, canonical_certificate, cycle_notation, isomorphism_witness
 from semap.vtype import (
     VertexType,
@@ -72,25 +73,12 @@ class Verdict:
         return f"name={self.name} witness={cycle_notation(self.witness)}"
 
 
-_TRUNCATION_NAMES = {
-    "tetrahedron": "truncated-tetrahedron",
-    "cube": "truncated-cube",
-    "octahedron": "truncated-octahedron",
-    "dodecahedron": "truncated-dodecahedron",
-    "icosahedron": "truncated-icosahedron",
-    "cuboctahedron": "great-rhombicuboctahedron",
-    "icosidodecahedron": "great-rhombicosidodecahedron",
-}
-
-_RECTIFICATION_NAMES = {
-    "cube": "cuboctahedron",
-    "dodecahedron": "icosidodecahedron",
-    "icosidodecahedron": "small-rhombicosidodecahedron",
-}
-
-_SNUB_NAMES = {
-    "small-rhombicuboctahedron": "snub-cube",
-    "small-rhombicosidodecahedron": "snub-dodecahedron",
+# forward operator of catalog.DERIVATIONS -> the function of
+# semap.operators that undoes it
+_INVERSES = {
+    "truncate": "inverse_truncation",
+    "rectify": "inverse_rectification",
+    "insert_diagonal_matching": "remove_deep_blue",
 }
 
 
@@ -117,26 +105,14 @@ def _derive_name(m: PolyhedralMap, t: VertexType) -> str:
             return "pseudo-rhombicuboctahedron"
         raise _violation(m, f"unexpected square-type counts {counts}")
 
-    if t.degree == 5 and t.size_multiset().get(3) == 4:
-        inner = remove_deep_blue(m)
-        inner_name = _derive_name(inner, _type_of(inner))
-        if inner_name not in _SNUB_NAMES:
-            raise _violation(m, f"snub surgery led to {inner_name}")
-        return _SNUB_NAMES[inner_name]
-
-    if t.degree == 3:
-        inner = inverse_truncation(m)
-        inner_name = _derive_name(inner, _type_of(inner))
-        if inner_name not in _TRUNCATION_NAMES:
-            raise _violation(m, f"inverse truncation led to {inner_name}")
-        return _TRUNCATION_NAMES[inner_name]
-
-    if t.degree == 4:
-        inner = inverse_rectification(m)
-        inner_name = _derive_name(inner, _type_of(inner))
-        if inner_name not in _RECTIFICATION_NAMES:
-            raise _violation(m, f"inverse rectification led to {inner_name}")
-        return _RECTIFICATION_NAMES[inner_name]
+    for name, (op, base) in DERIVATIONS.items():
+        if archimedean(name).vertex_type == t:
+            inverse = _INVERSES[op]
+            inner = getattr(operators, inverse)(m)
+            inner_name = _derive_name(inner, _type_of(inner))
+            if inner_name != base:
+                raise _violation(m, f"{inverse} led to {inner_name}, not {base}")
+            return name
 
     raise _violation(m, f"no reduction applies to type {t}")
 
@@ -151,9 +127,12 @@ def _type_of(m: PolyhedralMap) -> VertexType:
 def identify(m: PolyhedralMap) -> Verdict:
     """Name the catalog entry isomorphic to ``m`` and prove it.
 
-    The name is derived by reduction through the inverse operators (the
-    proof structure is the product); the witness comes from a final
-    certificate comparison against the named entry.
+    The name is derived by walking ``catalog.DERIVATIONS`` backwards:
+    the Archimedean entry of ``m``'s vertex type names an inverse
+    operator, whose result must reduce to that entry's base, down to
+    the Platonic, prism and antiprism cases.  The reduction chain is not
+    returned; the witness comes from a final certificate comparison
+    against the named entry.
     """
     if m.euler_characteristic != 2:
         raise WrongSphere(f"Euler characteristic {m.euler_characteristic}, need 2")
@@ -249,8 +228,11 @@ class _Generator:
         k = len(seq)
         vertices = set(seq)
         for f in self.faces:
-            if not faces_meet_properly(f, seq, vertices.intersection(f)):
-                return False
+            shared = vertices.intersection(f)
+            if shared:
+                u = min(shared)
+                if not faces_meet_properly(f, f.index(u), seq, seq.index(u), shared):
+                    return False
         for i in range(k):
             a, b = seq[i], seq[(i + 1) % k]
             e = (a, b) if a < b else (b, a)
@@ -387,7 +369,11 @@ class _Generator:
 
 def exhaustive_generate(count: int, t: VertexType) -> list[PolyhedralMap]:
     """All maps with ``count`` vertices of type ``t``, pairwise
-    non-isomorphic, by orderly backtracking with canonical pruning.
+    non-isomorphic.
+
+    A backtracking search over face lists finds every complete map,
+    isomorphic copies included; duplicates are merged by canonical
+    certificate at the leaves, not pruned during the search.
 
     Deliberately capped at 12 vertices: large enough for every
     uniqueness base case, small enough for a runtime guarantee.

@@ -23,7 +23,6 @@ from semap.errors import (
 )
 from semap.map_core import PolyhedralMap, format_map_text, parse_map_text
 from semap.operators import (
-    canonical_seed_diagonal,
     dual,
     insert_diagonal_matching,
     rectify,
@@ -148,7 +147,7 @@ def _apply_operator(op: str, m: PolyhedralMap, seed: str | None) -> PolyhedralMa
             except ValueError:
                 raise _UsageError(f"--seed wants 'a,c' with integers, got {seed!r}") from None
             return insert_diagonal_matching(m, (a, c))
-        return insert_diagonal_matching(m, canonical_seed_diagonal(m))
+        return insert_diagonal_matching(m)
     if op == "quotient":
         involutions = free_involutions(m)
         if not involutions:

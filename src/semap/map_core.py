@@ -227,10 +227,10 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
             incident[v].append((i, j))
     sets = [set(f) for f in faces]
     for v, inc in enumerate(incident):
-        for a, (i, _) in enumerate(inc):
-            for j, _ in inc[a + 1:]:
+        for a, (i, p) in enumerate(inc):
+            for j, q in inc[a + 1:]:
                 shared = sets[i] & sets[j]
-                if min(shared) == v and not faces_meet_properly(faces[i], faces[j], shared):
+                if min(shared) == v and not faces_meet_properly(faces[i], p, faces[j], q, shared):
                     raise NonPolyhedralIntersection(
                         f"faces {i} and {j} share vertices {sorted(shared)}, "
                         "not one vertex or one edge"
@@ -251,21 +251,17 @@ def build_map(face_list: Iterable[Sequence[int]]) -> PolyhedralMap:
     return PolyhedralMap(n, faces, edges, edge_corners, rotations, links, orientable)
 
 
-def _corner(face: Face, v: int) -> tuple[int, int]:
-    i = face.index(v)
-    return face[i - 1], face[(i + 1) % len(face)]
-
-
-def faces_meet_properly(f: Face, g: Face, shared: set[int]) -> bool:
+def faces_meet_properly(f: Face, p: int, g: Face, q: int, shared: set[int]) -> bool:
     """Whether two distinct faces meet in nothing, one vertex or one edge.
 
-    ``shared`` is their common vertex set: at most two vertices, and two
-    only when they are consecutive in both faces.
+    ``shared`` is their common vertex set and, when it is not empty,
+    ``f[p] == g[q] == min(shared)``.  It may hold at most two vertices,
+    and two only when the other one neighbours ``f[p]`` in both faces.
     """
     if len(shared) != 2:
         return len(shared) < 2
-    u, v = shared
-    return v in _corner(f, u) and v in _corner(g, u)
+    w = max(shared)
+    return w in (f[p - 1], f[(p + 1) % len(f)]) and w in (g[q - 1], g[(q + 1) % len(g)])
 
 
 def _vertex_rotations(faces, edge_corners, incident):

@@ -294,15 +294,18 @@ def _eligible_squares(y: PolyhedralMap) -> list[int]:
 
 
 def insert_diagonal_matching(
-    y: PolyhedralMap, seed_diagonal: tuple[int, int]
+    y: PolyhedralMap, seed_diagonal: tuple[int, int] | None = None
 ) -> PolyhedralMap:
     """Split eligible squares along forced diagonals.
 
-    The seed fixes one diagonal; the requirement that every vertex meet
-    exactly one diagonal forces all the others by breadth-first
+    The seed fixes one diagonal; without one, it is
+    ``canonical_seed_diagonal(y)``.  The requirement that every vertex
+    meet exactly one diagonal forces all the others by breadth-first
     propagation.  Conflicts mean the input was not one of the two
     admissible seeds and raise PropagationConflict.
     """
+    if seed_diagonal is None:
+        seed_diagonal = canonical_seed_diagonal(y)
     eligible = _eligible_squares(y)
     squares_at: dict[int, list[int]] = {}
     for si in eligible:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from semap.catalog import entry_by_name, rp2_catalog, sphere_catalog
+from semap.catalog import PLATONIC_NAMES, entry_by_name, rp2_catalog, sphere_catalog
 from semap.classify import exhaustive_generate, identify, square_type_counts
 from semap.errors import NonPolyhedralQuotient
 from semap.map_core import build_map, face_key
@@ -138,13 +138,12 @@ def _suite_square_types() -> str:
     return "(12,0,6) vs (8,8,2), same type and count, non-isomorphic"
 
 
-_REGULAR = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 _QUASIREGULAR = ("cuboctahedron", "icosidodecahedron")
 
 
 def _suite_operator_laws() -> str:
     checked = 0
-    for name in _REGULAR + _QUASIREGULAR:
+    for name in PLATONIC_NAMES + _QUASIREGULAR:
         x = entry_by_name(name).map
         t = semi_equivelar_type(x)
         runs = t.runs

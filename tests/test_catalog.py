@@ -172,3 +172,46 @@ def test_write_catalog_round_trip(tmp_path):
     for e in entries:
         with open(tmp_path / f"{e.name}.map", encoding="utf-8") as fh:
             assert parse_map_text(fh.read()) == e.map
+
+
+FROZEN_MANIFEST = [
+    "tetrahedron\t[3^3]\t4\tface list",
+    "cube\t[4^3]\t8\tprism(4)",
+    "octahedron\t[3^4]\t6\tface list",
+    "dodecahedron\t[5^3]\t20\tdual(icosahedron)",
+    "icosahedron\t[3^5]\t12\tface list",
+    "truncated-tetrahedron\t[3,6^2]\t12\ttruncate(tetrahedron)",
+    "truncated-cube\t[3,8^2]\t24\ttruncate(cube)",
+    "truncated-octahedron\t[4,6^2]\t24\ttruncate(octahedron)",
+    "truncated-dodecahedron\t[3,10^2]\t60\ttruncate(dodecahedron)",
+    "truncated-icosahedron\t[5,6^2]\t60\ttruncate(icosahedron)",
+    "cuboctahedron\t[3,4,3,4]\t12\trectify(cube)",
+    "icosidodecahedron\t[3,5,3,5]\t30\trectify(dodecahedron)",
+    "small-rhombicuboctahedron\t[3,4^3]\t24\trectify(cuboctahedron)",
+    "great-rhombicuboctahedron\t[4,6,8]\t48\ttruncate(cuboctahedron)",
+    "small-rhombicosidodecahedron\t[3,4,5,4]\t60\trectify(icosidodecahedron)",
+    "great-rhombicosidodecahedron\t[4,6,10]\t120\ttruncate(icosidodecahedron)",
+    "snub-cube\t[3^4,4]\t24\tinsert_diagonal_matching(small-rhombicuboctahedron)",
+    "snub-dodecahedron\t[3^4,5]\t60\tinsert_diagonal_matching(small-rhombicosidodecahedron)",
+    "pseudo-rhombicuboctahedron\t[3,4^3]\t24\tgyrate(small-rhombicuboctahedron)",
+    "rp2-icosahedron\t[3^5]\t6\tquotient(icosahedron)",
+    "rp2-dodecahedron\t[5^3]\t10\tquotient(dodecahedron)",
+    "rp2-truncated-octahedron\t[4,6^2]\t12\tquotient(truncated-octahedron)",
+    "rp2-icosidodecahedron\t[3,5,3,5]\t15\tquotient(icosidodecahedron)",
+    "rp2-small-rhombicuboctahedron\t[3,4^3]\t12\tquotient(small-rhombicuboctahedron)",
+    "rp2-great-rhombicuboctahedron\t[4,6,8]\t24\tquotient(great-rhombicuboctahedron)",
+    "rp2-small-rhombicosidodecahedron\t[3,4,5,4]\t30\tquotient(small-rhombicosidodecahedron)",
+    "rp2-great-rhombicosidodecahedron\t[4,6,10]\t60\tquotient(great-rhombicosidodecahedron)",
+    "rp2-truncated-dodecahedron\t[3,10^2]\t30\tquotient(truncated-dodecahedron)",
+    "rp2-truncated-icosahedron\t[5,6^2]\t30\tquotient(truncated-icosahedron)",
+]
+
+
+def test_manifest_recipes_are_frozen(tmp_path):
+    """Names, types, counts and recipes of every non-drum entry, in
+    catalog order: a change to the derivation table shows here."""
+    entries = [
+        e for e in sphere_catalog(12) if not e.name.startswith(("prism-", "antiprism-"))
+    ] + rp2_catalog()
+    with open(write_catalog(entries, str(tmp_path)), encoding="utf-8") as fh:
+        assert fh.read().splitlines() == FROZEN_MANIFEST

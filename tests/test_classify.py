@@ -5,6 +5,7 @@ import random
 import pytest
 
 from semap.catalog import (
+    DERIVATIONS,
     antiprism,
     archimedean,
     entry_by_name,
@@ -20,6 +21,7 @@ from semap.classify import (
     square_type_counts,
 )
 from semap.errors import (
+    ClassificationViolation,
     CountMismatch,
     MapBuildError,
     NotSemiEquivelar,
@@ -85,6 +87,15 @@ def test_identify_guards():
     )
     with pytest.raises(NotSemiEquivelar):
         identify(bipyramid)
+
+
+def test_identify_refuses_a_wrong_base(monkeypatch):
+    # build the entry before the table is changed, so its memoized map
+    # stays the true truncated cube
+    m = _relabel(archimedean("truncated-cube").map, random.Random(3))
+    monkeypatch.setitem(DERIVATIONS, "truncated-cube", ("truncate", "octahedron"))
+    with pytest.raises(ClassificationViolation, match="led to cube, not octahedron"):
+        identify(m)
 
 
 def test_identify_family_members_beyond_catalog_bound():
