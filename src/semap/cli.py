@@ -251,24 +251,21 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_sphere_catalog(args) -> int:
-    entries = catalog.sphere_catalog(args.max_gon)
+def _write_catalog(args, entries) -> int:
     manifest = catalog.write_catalog(entries, args.out)
     if args.json:
         print(json.dumps({"entries": len(entries), "manifest": manifest}))
     else:
         print(f"wrote {len(entries)} maps and {manifest}")
     return 0
+
+
+def _cmd_sphere_catalog(args) -> int:
+    return _write_catalog(args, catalog.sphere_catalog(args.max_gon))
 
 
 def _cmd_rp2_catalog(args) -> int:
-    entries = catalog.rp2_catalog()
-    manifest = catalog.write_catalog(entries, args.out)
-    if args.json:
-        print(json.dumps({"entries": len(entries), "manifest": manifest}))
-    else:
-        print(f"wrote {len(entries)} maps and {manifest}")
-    return 0
+    return _write_catalog(args, catalog.rp2_catalog())
 
 
 def _cmd_verify(args) -> int:

@@ -285,23 +285,33 @@ def _export_off(r: Realization, m: PolyhedralMap) -> bytes:
 
 
 def parse_off(data: bytes) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    lines = [
-        ln for ln in data.decode("ascii").splitlines() if ln.strip() and ln[0] != "#"
-    ]
-    if not lines or lines[0].strip() != "OFF":
+    """Vertex coordinates and faces of OFF data; any flaw is a MapFormatError."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        raise MapFormatError("OFF data is not ASCII") from None
+    rows = [ln.split() for ln in text.splitlines() if ln.strip() and ln[0] != "#"]
+    if not rows or rows[0] != ["OFF"]:
         raise MapFormatError("missing OFF header")
-    counts = lines[1].split()
-    nv, nf = int(counts[0]), int(counts[1])
-    coords = np.array(
-        [[float(t) for t in lines[2 + i].split()] for i in range(nv)]
-    )
-    faces = []
-    for i in range(nf):
-        tokens = [int(t) for t in lines[2 + nv + i].split()]
+    counts = rows[1][:2] if len(rows) > 1 else []
+    if len(counts) != 2 or not all(t.isdecimal() for t in counts):
+        raise MapFormatError("malformed OFF count line")
+    # compare lengths first: int() refuses over 4300 digits
+    room = len(rows) - 2
+    if any(len(t.lstrip("0")) > len(str(room)) for t in counts) or sum(map(int, counts)) > room:
+        raise MapFormatError("OFF data ends before its vertices and faces")
+    nv, nf = map(int, counts)
+    try:
+        coords = [[float(t) for t in row] for row in rows[2 : 2 + nv]]
+        faces = [[int(t) for t in row] for row in rows[2 + nv : 2 + nv + nf]]
+    except ValueError:
+        raise MapFormatError("non-numeric OFF field") from None
+    if any(len(p) != 3 for p in coords):
+        raise MapFormatError("OFF vertex line without three coordinates")
+    for i, tokens in enumerate(faces):
         if tokens[0] != len(tokens) - 1:
             raise MapFormatError(f"face line {i} count mismatch")
-        faces.append(tuple(tokens[1:]))
-    return coords, faces
+    return np.array(coords), [tuple(tokens[1:]) for tokens in faces]
 
 
 def _export_svg(r: Realization, m: PolyhedralMap, segments: int = 32) -> bytes:

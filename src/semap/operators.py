@@ -299,91 +299,54 @@ def insert_diagonal_matching(
     """Split eligible squares along forced diagonals.
 
     The seed fixes one diagonal; without one, it is
-    ``canonical_seed_diagonal(y)``.  The requirement that every vertex
-    meet exactly one diagonal forces all the others by breadth-first
-    propagation.  Conflicts mean the input was not one of the two
-    admissible seeds and raise PropagationConflict.
+    ``canonical_seed_diagonal(y)``.  Every vertex lies in two eligible
+    squares and must meet exactly one diagonal, so exactly one of its
+    squares takes the diagonal through it.  ``choice[si]`` is 0 for
+    ``f[0]-f[2]`` and 1 for ``f[1]-f[3]``; a breadth-first pass from the
+    seed square forces every other choice.  A disagreement, or a square
+    left undecided, means the input was not one of the two admissible
+    seeds and raises PropagationConflict.
     """
     if seed_diagonal is None:
         seed_diagonal = canonical_seed_diagonal(y)
     eligible = _eligible_squares(y)
-    squares_at: dict[int, list[int]] = {}
+    squares_at: dict[int, list[tuple[int, int]]] = {}  # v -> its (square, position)
     for si in eligible:
-        for v in y.faces[si]:
-            squares_at.setdefault(v, []).append(si)
+        for p, v in enumerate(y.faces[si]):
+            squares_at.setdefault(v, []).append((si, p))
     if any(len(s) != 2 for s in squares_at.values()) or len(squares_at) != y.vertex_count:
         raise PropagationConflict("eligible squares do not cover every vertex twice")
 
-    def diagonals(si):
-        f = y.faces[si]
-        return (frozenset((f[0], f[2])), frozenset((f[1], f[3])))
-
     a, c = seed_diagonal
-    seed_square = None
     for si in eligible:
-        if frozenset((a, c)) in diagonals(si):
-            seed_square = si
+        f = y.faces[si]
+        if {a, c} in ({f[0], f[2]}, {f[1], f[3]}):
+            choice = {si: f.index(a) % 2}
             break
-    if seed_square is None:
+    else:
         raise NotEligibleSquare(f"{seed_diagonal} is not a diagonal of an eligible square")
 
-    chosen: dict[int, frozenset] = {}
-    covered: dict[int, int] = {}  # vertex -> square whose diagonal covers it
-
-    def choose(si, diag):
-        prev = chosen.get(si)
-        if prev is not None:
-            if prev != diag:
-                raise PropagationConflict(f"square {si} forced both diagonals")
-            return []
-        chosen[si] = diag
-        newly = []
-        for v in diag:
-            if v in covered and covered[v] != si:
-                raise PropagationConflict(f"vertex {v} covered twice")
-            covered[v] = si
-            newly.append(v)
-        return newly
-
-    frontier = choose(seed_square, frozenset((a, c)))
-    while frontier:
-        next_frontier = []
-        for v in sorted(frontier):
-            si = covered[v]
-            # corners of si missed by its diagonal must be covered elsewhere;
-            # corners on the diagonal block their other square
-            for w in y.faces[si]:
-                other = next(s for s in squares_at[w] if s != si)
-                d1, d2 = diagonals(other)
-                want = None
-                if w in chosen[si]:
-                    if w in d1:
-                        want = d2
-                    if w in d2:
-                        want = d1
-                else:
-                    if w in d1:
-                        want = d1
-                    elif w in d2:
-                        want = d2
-                if want is not None:
-                    next_frontier.extend(choose(other, want))
-        frontier = next_frontier
-
-    if len(chosen) != len(eligible):
+    queue = list(choice)
+    for si in queue:
+        for p, v in enumerate(y.faces[si]):
+            other, q = next(sq for sq in squares_at[v] if sq[0] != si)
+            # other takes v's diagonal (choice q % 2) exactly when si does not
+            want = (q + p + choice[si] + 1) % 2
+            if other not in choice:
+                choice[other] = want
+                queue.append(other)
+            elif choice[other] != want:
+                raise PropagationConflict(f"square {other} forced both diagonals")
+    if len(choice) != len(eligible):
         raise PropagationConflict(
-            f"propagation stalled with {len(chosen)} of {len(eligible)} squares decided"
+            f"propagation stalled with {len(choice)} of {len(eligible)} squares decided"
         )
-    if len(covered) != y.vertex_count:
-        raise PropagationConflict("diagonals do not form a perfect matching")
 
     faces = []
     for fi, face in enumerate(y.faces):
-        diag = chosen.get(fi)
-        if diag is None:
+        if fi not in choice:
             faces.append(face)
-            continue
-        if frozenset((face[0], face[2])) == diag:
+        elif choice[fi] == 0:
             faces.append((face[0], face[1], face[2]))
             faces.append((face[0], face[2], face[3]))
         else:

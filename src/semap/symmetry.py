@@ -5,6 +5,11 @@ includes orientation-reversing correspondences.  The same search that
 finds the minimum code finds generators of the automorphism group: two
 start flags with equal codes determine exactly one automorphism, since
 the flag graph of a polyhedral map is rigid.
+
+The orientation double cover of a projective-plane map needs no flags:
+a cover vertex is a base vertex with a direction of its link cycle, each
+face lifts once read forward and once reversed, and the deck swap flips
+the direction.
 """
 from __future__ import annotations
 
@@ -240,57 +245,25 @@ def quotient(m: PolyhedralMap, sigma) -> PolyhedralMap:
 def double_cover(y: PolyhedralMap) -> tuple[PolyhedralMap, tuple[int, ...]]:
     """Orientation double cover of a projective-plane map, with its deck swap.
 
-    Cover flags are (flag, sign) pairs where every move flips the sign;
-    cover vertices and faces are the orbits of the corresponding move
-    pairs.  Each cell of the base lifts to exactly two cells.
+    A cover vertex is a base vertex with a direction of its link cycle:
+    ``2v`` follows ``y.links[v]`` and ``2v+1`` runs against it.  Each
+    face lifts twice, read forward and reversed; a lifted face passing
+    ``a -> v -> b`` uses ``2v`` exactly when ``b`` follows ``a`` in
+    ``y.links[v]``.  The deck swap is ``w ^ 1``.
     """
     if y.euler_characteristic == 2:
         raise AlreadySpherical("map is already on the sphere")
-    fs = flag_system(y)
-    count = fs.flag_count
+    # succ[v][a]: the neighbour that follows a in v's link cycle
+    succ = [dict(zip(link, link[1:] + link[:1])) for link in y.links]
 
-    # signed flag: 2 * flag + sign
-    def move(table, sf):
-        return 2 * table[sf >> 1] + ((sf & 1) ^ 1)
+    def lift(f):
+        # f passes f[j-1] -> v -> f[j+1] at corner j
+        return tuple(
+            2 * v + (succ[v][f[j - 1]] != f[(j + 1) % len(f)]) for j, v in enumerate(f)
+        )
 
-    def orbits(tables):
-        comp = [-1] * (2 * count)
-        reps = []
-        for sf in range(2 * count):
-            if comp[sf] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(sf)
-            stack = [sf]
-            comp[sf] = cid
-            while stack:
-                cur = stack.pop()
-                for table in tables:
-                    nxt = move(table, cur)
-                    if comp[nxt] < 0:
-                        comp[nxt] = cid
-                        stack.append(nxt)
-        return comp, reps
-
-    vertex_comp, vertex_reps = orbits((fs.s1, fs.s2))
-    face_comp, face_reps = orbits((fs.s0, fs.s1))
-
-    faces = []
-    for rep in face_reps:
-        cycle = []
-        sf = rep
-        while True:
-            cycle.append(vertex_comp[sf])
-            sf = move(fs.s1, move(fs.s0, sf))
-            if sf == rep:
-                break
-        faces.append(tuple(cycle))
-    cover = build_map(faces)
-
-    deck = [0] * len(vertex_reps)
-    for cid, rep in enumerate(vertex_reps):
-        deck[cid] = vertex_comp[rep ^ 1]
-    deck = tuple(deck)
+    cover = build_map(lift(g) for f in y.faces for g in (f, f[::-1]))
+    deck = tuple(w ^ 1 for w in range(cover.vertex_count))
 
     if cover.euler_characteristic != 2:
         raise SymmetryCheckFailed("double cover is not a sphere")

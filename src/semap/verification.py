@@ -19,6 +19,7 @@ from semap.classify import exhaustive_generate, identify, square_type_counts
 from semap.errors import NonPolyhedralQuotient
 from semap.map_core import build_map, face_key
 from semap.operators import (
+    canonical_seed_diagonal,
     edge_coloring,
     insert_diagonal_matching,
     inverse_rectification,
@@ -193,9 +194,6 @@ def _suite_surgery() -> str:
         _check(are_isomorphic(opened, base), f"open({snub_name}) != {base_name}")
         _check(opened.vertex_count == snub.vertex_count, "vertex count preserved")
         squares = [f for f in base.faces if len(f) == 4]
-        seeds = []
-        from semap.operators import canonical_seed_diagonal
-
         seed1 = canonical_seed_diagonal(base)
         square = next(f for f in squares if set(seed1) <= set(f))
         seed2 = tuple(sorted(set(square) - set(seed1)))

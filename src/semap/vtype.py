@@ -326,7 +326,21 @@ def enumerate_admissible(max_gon: int) -> AdmissibleEnumeration:
 _RUN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
+def _run_number(digits: str, part: str) -> int:
+    # compare the length first: int() refuses over 4300 digits, and a
+    # number longer than MAX_GON is never a face size or a degree
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_GON)):
+        raise TypeSyntaxError(f"number over {len(str(MAX_GON))} digits in a run")
+    return int(digits)
+
+
 def parse_vertex_type(text: str) -> VertexType:
+    """Read run-length syntax such as ``[3^4,5]``.
+
+    Face sizes and the total degree are bounded by MAX_GON, each run
+    checked before it is expanded.
+    """
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise TypeSyntaxError(f"missing brackets in {text!r}")
@@ -338,10 +352,14 @@ def parse_vertex_type(text: str) -> VertexType:
         m = _RUN_RE.match(part.strip())
         if not m:
             raise TypeSyntaxError(f"bad run {part!r} in {text!r}")
-        p = int(m.group(1))
-        n = int(m.group(2)) if m.group(2) else 1
+        p = _run_number(m.group(1), part)
+        n = _run_number(m.group(2), part) if m.group(2) else 1
         if n < 1:
             raise TypeSyntaxError(f"bad multiplicity in {part!r}")
+        if p > MAX_GON:
+            raise TooLarge(f"face size {p} > {MAX_GON}")
+        if len(sizes) + n > MAX_GON:
+            raise TooLarge(f"total degree over {MAX_GON}")
         sizes.extend([p] * n)
     return normalize(sizes)
 

@@ -55,13 +55,16 @@ def test_no_assert_in_package():
     assert not found, f"assert statements in src/semap: {found}"
 
 
-def test_identify_suite_passes_under_optimize():
+# identify lifts every rp2 entry through double_cover; surgery closes
+# both snubs with insert_diagonal_matching
+@pytest.mark.parametrize("suite", ["identify", "surgery"])
+def test_suite_passes_under_optimize(suite):
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "semap.cli", "verify", "--suite", "identify"],
+        [sys.executable, "-O", "-m", "semap.cli", "verify", "--suite", suite],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("PASS identify:")
+    assert proc.stdout.startswith(f"PASS {suite}:")

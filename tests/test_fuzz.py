@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from semap.catalog import archimedean, platonic, prism
 from semap.cli import main
-from semap.errors import SemapError
+from semap.errors import MapFormatError, SemapError
+from semap.geometry import export, parse_off, prism_coordinates
 from semap.map_core import format_map_text, parse_map_text
 
 _MAP_TEXTS = [
@@ -69,6 +70,31 @@ def test_parse_map_text_raises_only_semap_errors(text):
     try:
         parse_map_text(text)
     except SemapError:
+        pass
+
+
+_OFF = export(prism_coordinates(3), prism(3).map, "off")
+_off_line = st.one_of(
+    st.lists(st.one_of(_number, st.sampled_from(["x", "1.5", "nan", "-0"])), max_size=5).map(" ".join),
+    st.binary(max_size=6).map(lambda b: b.decode("latin-1")),
+)
+
+
+@st.composite
+def _broken_off(draw):
+    """The OFF export of a prism, cut short or with lines replaced."""
+    lines = _OFF.decode("ascii").splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(_off_line)
+    return "\n".join(lines).encode("latin-1")[: draw(st.integers(0, len(_OFF)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(), _broken_off()))
+def test_parse_off_raises_only_map_format_errors(data):
+    try:
+        parse_off(data)
+    except MapFormatError:
         pass
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semap.catalog import antiprism, platonic, prism
-from semap.errors import CountMismatch, NTooSmall
+from semap.errors import CountMismatch, MapFormatError, NTooSmall
 from semap.geometry import (
     antiprism_coordinates,
     export,
@@ -98,6 +98,23 @@ def test_off_round_trip():
     coords, faces = parse_off(blob)
     assert tuple(faces) == entry.map.faces
     assert np.array_equal(coords, prism_coordinates(3).coordinates)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"OFF\n",  # no count line
+        b"OFF\n3 1 0\n0 0 0\n",  # vertex and face lines missing
+        b"OFF\nx y z\n",
+        b"OFF\n1 0 0\n1 2\n",  # two coordinates
+        b"OFF\n1 1 0\n0 0 0\n3 0 x 1\n",
+        b"OFF\n" + b"9" * 5000 + b" 1 0\n",
+        "OFF\n0 0 0\n# caf\u00e9\n".encode("utf-8"),
+    ],
+)
+def test_parse_off_rejects_malformed_data(data):
+    with pytest.raises(MapFormatError):
+        parse_off(data)
 
 
 def test_off_counts_tetrahedron():

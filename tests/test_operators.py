@@ -4,6 +4,7 @@ from semap.catalog import antiprism, archimedean, platonic, prism
 from semap.errors import NotEligibleSquare, PropagationConflict, WrongShape
 from semap.map_core import build_map
 from semap.operators import (
+    _eligible_squares,
     canonical_seed_diagonal,
     dual,
     edge_coloring,
@@ -186,13 +187,41 @@ def test_insert_matching_seed_guards():
         insert_diagonal_matching(platonic("cube").map, (0, 2))
 
 
+@pytest.mark.parametrize(
+    "base_name, snub_name",
+    [
+        ("small-rhombicuboctahedron", "snub-cube"),
+        ("small-rhombicosidodecahedron", "snub-dodecahedron"),
+    ],
+)
+def test_insert_matching_every_seed(base_name, snub_name):
+    base = archimedean(base_name).map
+    closed = set()
+    for si in _eligible_squares(base):
+        a, b, c, d = base.faces[si]
+        for seed in ((a, c), (c, a), (b, d), (d, b)):
+            closed.add(insert_diagonal_matching(base, seed))
+        with pytest.raises(NotEligibleSquare):
+            insert_diagonal_matching(base, (a, b))
+    # one matching per chirality, each forced by any of its diagonals
+    assert len(closed) == 2
+    for m in closed:
+        assert are_isomorphic(m, archimedean(snub_name).map)
+        assert are_isomorphic(remove_deep_blue(m), base)
+
+
 def test_insert_matching_rejects_gyrated_input():
     from semap.catalog import pseudo_rhombicuboctahedron
 
     pseudo = pseudo_rhombicuboctahedron().map
-    seed = canonical_seed_diagonal(pseudo)
-    with pytest.raises(PropagationConflict):
-        insert_diagonal_matching(pseudo, seed)
+    seeds = [canonical_seed_diagonal(pseudo)]
+    for f in pseudo.faces:
+        if len(f) == 4:
+            a, b, c, d = f
+            seeds.extend(((a, c), (c, a), (b, d), (d, b), (a, b)))
+    for seed in seeds:
+        with pytest.raises(PropagationConflict):
+            insert_diagonal_matching(pseudo, seed)
 
 
 def test_operators_preserve_euler_characteristic():

@@ -7,6 +7,7 @@ from semap import symmetry
 from semap.catalog import (
     antiprism,
     archimedean,
+    entry_by_name,
     platonic,
     prism,
     pseudo_rhombicuboctahedron,
@@ -217,13 +218,30 @@ def test_quotient_validates_involution():
         quotient(ico, tuple(range(12)))
 
 
+def _scrambled(m, rng):
+    """A relabelled copy of m with faces reversed, rotated and reordered."""
+    perm = list(range(m.vertex_count))
+    rng.shuffle(perm)
+    faces = []
+    for f in m.faces:
+        g = [perm[v] for v in f][:: rng.choice((1, -1))]
+        r = rng.randrange(len(g))
+        faces.append(tuple(g[r:] + g[:r]))
+    rng.shuffle(faces)
+    return build_map(faces)
+
+
 def test_double_cover_round_trips():
+    rng = random.Random(0xC0DE)
     for entry in rp2_catalog():
-        cover, deck = double_cover(entry.map)
-        assert cover.euler_characteristic == 2
-        assert cover.vertex_count == 2 * entry.map.vertex_count
-        again = quotient(cover, deck)
-        assert are_isomorphic(again, entry.map)
+        sphere = entry_by_name(entry.name[len("rp2-"):]).map
+        for y in [entry.map] + [_scrambled(entry.map, rng) for _ in range(3)]:
+            cover, deck = double_cover(y)
+            assert cover.euler_characteristic == 2
+            assert cover.vertex_count == 2 * y.vertex_count
+            assert deck == tuple(w ^ 1 for w in range(cover.vertex_count))
+            assert are_isomorphic(cover, sphere)
+            assert are_isomorphic(quotient(cover, deck), y)
 
 
 def test_double_cover_guards():

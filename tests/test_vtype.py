@@ -13,10 +13,12 @@ from semap.errors import (
     NonPositiveDefect,
     NotSemiEquivelar,
     SizeTooSmall,
+    TooLarge,
     TypeSyntaxError,
 )
 from semap.map_core import build_map
 from semap.vtype import (
+    MAX_GON,
     SPORADIC_TYPES,
     defect,
     degree_profile,
@@ -200,6 +202,19 @@ def test_type_syntax_round_trip():
     for bad in ("3^4,5", "[]", "[3,]", "[3^]", "[x]", "[3^0]"):
         with pytest.raises(TypeSyntaxError):
             parse_vertex_type(bad)
+
+
+def test_type_syntax_bounds():
+    # a number longer than MAX_GON is refused unread, so int()'s
+    # 4300-digit limit and a list of 10**30 entries never come up
+    for bad in ("[" + "3" * 5000 + "]", "[3^" + "9" * 30 + "]", f"[{MAX_GON * 10}^3]"):
+        with pytest.raises(TypeSyntaxError):
+            parse_vertex_type(bad)
+    # sizes and total degrees above MAX_GON are refused before expanding
+    for big in (f"[{MAX_GON + 1}^3]", f"[3^{MAX_GON + 1}]", f"[4,3^{MAX_GON}]"):
+        with pytest.raises(TooLarge):
+            parse_vertex_type(big)
+    assert parse_vertex_type("[003^4,05]") == normalize((3, 3, 3, 3, 5))
 
 
 def test_catalog_types_are_admissible():
