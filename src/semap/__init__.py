@@ -6,80 +6,6 @@ relating them (truncation, rectification, dual, snub surgery, antipodal
 quotients) and a decision procedure naming any valid input map.
 """
 
-from semap.errors import SemapError
-from semap.map_core import (
-    FaceCycle,
-    PolyhedralMap,
-    build_map,
-    euler_characteristic,
-    face_cycle,
-    format_map_text,
-    parse_map_text,
-)
-from semap.vtype import (
-    VertexType,
-    defect,
-    degree_profile,
-    enumerate_admissible,
-    format_vertex_type,
-    normalize,
-    obstruction,
-    parse_vertex_type,
-    predicted_vertex_count,
-    semi_equivelar_type,
-    vertex_type_at,
-)
-from semap.operators import (
-    EdgeColoring,
-    dual,
-    edge_coloring,
-    insert_diagonal_matching,
-    inverse_rectification,
-    inverse_truncation,
-    rectify,
-    remove_deep_blue,
-    truncate,
-)
-from semap.catalog import (
-    CatalogEntry,
-    antiprism,
-    archimedean,
-    entry_by_name,
-    platonic,
-    prism,
-    pseudo_rhombicuboctahedron,
-    rp2_catalog,
-    sphere_catalog,
-    write_catalog,
-)
-from semap.symmetry import (
-    AutomorphismGroup,
-    CanonicalCertificate,
-    KERNEL_NAME,
-    are_isomorphic,
-    automorphism_group,
-    canonical_certificate,
-    double_cover,
-    free_involutions,
-    is_vertex_transitive,
-    isomorphism_witness,
-    quotient,
-)
-from semap.classify import (
-    SquareTypeCounts,
-    Verdict,
-    exhaustive_generate,
-    identify,
-    square_type_counts,
-)
-from semap.geometry import (
-    Realization,
-    ValidationReport,
-    antiprism_coordinates,
-    export,
-    parse_off,
-    prism_coordinates,
-    realize_on_sphere,
-)
+from semap._certpure import KERNEL_NAME
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from semap import operators
@@ -28,7 +29,8 @@ from semap.errors import (
     UnknownName,
 )
 from semap.map_core import PolyhedralMap, build_map, format_map_text, square_neighbour_counts
-from semap.vtype import MAX_GON, VertexType
+from semap.symmetry import free_involutions, quotient
+from semap.vtype import MAX_GON, VertexType, predicted_vertex_count, semi_equivelar_type
 
 _TETRAHEDRON = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 _OCTAHEDRON = (
@@ -84,8 +86,6 @@ class CatalogEntry:
 
 
 def _entry(name: str, m: PolyhedralMap, recipe: str) -> CatalogEntry:
-    from semap.vtype import predicted_vertex_count, semi_equivelar_type
-
     t = semi_equivelar_type(m)
     if not isinstance(t, VertexType):
         raise InvariantViolated(f"{name} is not semi-equivelar: {t}")
@@ -139,12 +139,30 @@ def platonic(name: str) -> CatalogEntry:
 
 
 @functools.cache
+def derivation_type(name: str) -> VertexType:
+    """The vertex type of a ``DERIVATIONS`` row, read from the type law
+    (``operators.type_after``) without building any map but the
+    Platonic bases."""
+    op, base = DERIVATIONS[name]
+    base_type = platonic(base).vertex_type if base in PLATONIC_NAMES else derivation_type(base)
+    t = operators.type_after(op, base_type)
+    if t is None:
+        raise InvariantViolated(f"{op} of a {base_type} map has no single vertex type")
+    return t
+
+
+@functools.cache
 def archimedean(name: str) -> CatalogEntry:
     try:
         op, base = DERIVATIONS[name]
     except KeyError:
         raise UnknownName(f"unknown Archimedean solid {name!r}") from None
-    return _entry(name, getattr(operators, op)(entry_by_name(base).map), f"{op}({base})")
+    entry = _entry(name, getattr(operators, op)(entry_by_name(base).map), f"{op}({base})")
+    if entry.vertex_type != derivation_type(name):
+        raise InvariantViolated(
+            f"{name} has type {entry.vertex_type}, the type law gives {derivation_type(name)}"
+        )
+    return entry
 
 
 @functools.cache
@@ -153,8 +171,8 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
 
     The cap around an axis square (the square with four square
     neighbours) is detached along its octagonal rim and reattached one
-    rim step around.  The square-neighbour signature (8, 8, 2) pins the
-    result; see classify.square_type_counts.
+    rim step around.  The square census pins the result: 8 squares
+    meet 2 other squares, 8 meet 3 and 2 meet 4.
     """
     y = archimedean("small-rhombicuboctahedron").map
     axis = min(i for i, c in square_neighbour_counts(y).items() if c == 4)
@@ -199,11 +217,9 @@ def pseudo_rhombicuboctahedron() -> CatalogEntry:
     entry = _entry(
         "pseudo-rhombicuboctahedron", m, "gyrate(small-rhombicuboctahedron)"
     )
-    from semap.classify import square_type_counts
-
-    counts = square_type_counts(m)
-    if (counts.s2, counts.s3, counts.s4) != (8, 8, 2):
-        raise InvariantViolated(f"gyration gave square-type counts {counts}")
+    census = Counter(square_neighbour_counts(m).values())
+    if census != {2: 8, 3: 8, 4: 2}:
+        raise InvariantViolated(f"gyration gave square census {dict(census)}")
     return entry
 
 
@@ -269,9 +285,6 @@ _RP2_BASES = (
 def rp2_catalog() -> list[CatalogEntry]:
     """The ten projective-plane entries: antipodal quotients of the
     centrally symmetric catalog solids."""
-    from semap.symmetry import free_involutions, quotient
-    from semap.vtype import semi_equivelar_type
-
     entries = []
     for base_name in _RP2_BASES:
         base = entry_by_name(base_name)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from semap import operators
-from semap.catalog import DERIVATIONS, PLATONIC_NAMES, archimedean, entry_by_name, platonic
+from semap.catalog import DERIVATIONS, PLATONIC_NAMES, derivation_type, entry_by_name, platonic, sphere_catalog
 from semap.errors import (
     ClassificationViolation,
     CountMismatch,
@@ -106,7 +106,7 @@ def _derive_name(m: PolyhedralMap, t: VertexType) -> str:
         raise _violation(m, f"unexpected square-type counts {counts}")
 
     for name, (op, base) in DERIVATIONS.items():
-        if archimedean(name).vertex_type == t:
+        if derivation_type(name) == t:
             inverse = _INVERSES[op]
             inner = getattr(operators, inverse)(m)
             inner_name = _derive_name(inner, _type_of(inner))
@@ -128,9 +128,10 @@ def identify(m: PolyhedralMap) -> Verdict:
     """Name the catalog entry isomorphic to ``m`` and prove it.
 
     The name is derived by walking ``catalog.DERIVATIONS`` backwards:
-    the Archimedean entry of ``m``'s vertex type names an inverse
-    operator, whose result must reduce to that entry's base, down to
-    the Platonic, prism and antiprism cases.  The reduction chain is not
+    the row whose type under the type law (``catalog.derivation_type``)
+    is ``m``'s names an inverse operator, whose result must reduce to
+    that row's base, down to the Platonic, prism and antiprism cases.
+    The walk builds no Archimedean entry.  The reduction chain is not
     returned; the witness comes from a final certificate comparison
     against the named entry.
     """
@@ -154,8 +155,6 @@ def identify(m: PolyhedralMap) -> Verdict:
 
 def direct_certificate_match(m: PolyhedralMap, max_gon: int = 50) -> str | None:
     """Cross-check mode: match against every catalog certificate directly."""
-    from semap.catalog import sphere_catalog
-
     for entry in sphere_catalog(max_gon):
         if are_isomorphic(m, entry.map):
             return entry.name

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from semap import catalog, geometry, verification
+from semap import catalog, verification
 from semap.classify import identify
 from semap.errors import (
     ClassificationViolation,
@@ -38,7 +38,7 @@ from semap.symmetry import (
     is_vertex_transitive,
     quotient,
 )
-from semap.vtype import semi_equivelar_type
+from semap.vtype import enumerate_admissible, predicted_vertex_count, semi_equivelar_type
 
 
 class _UsageError(Exception):
@@ -87,8 +87,6 @@ def _describe(m: PolyhedralMap) -> str:
 def _cmd_enum_types(args) -> int:
     if args.max_gon < 12:
         raise _UsageError(f"--max-gon must be at least 12, got {args.max_gon}")
-    from semap.vtype import enumerate_admissible, predicted_vertex_count
-
     result = enumerate_admissible(args.max_gon)
     sporadic = sorted(result.sporadic, key=lambda t: (t.degree, t.sizes))
     payload = {
@@ -218,6 +216,9 @@ def _cmd_autgroup(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    # geometry loads numpy; no other command needs it
+    from semap import geometry
+
     m = _read_map(args.infile)
     note = None
     try:

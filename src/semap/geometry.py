@@ -15,11 +15,16 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from semap.errors import ConvergenceFailure, CountMismatch, MapFormatError, NTooSmall
-from semap.map_core import PolyhedralMap, build_map
+from semap.catalog import antiprism, prism
+from semap.errors import ConvergenceFailure, CountMismatch, MapFormatError, NTooSmall, TooLarge
+from semap.map_core import PolyhedralMap
 
 _STEP_BUDGET = 100_000
 _STEP_TOLERANCE = 1e-12
+
+# realize_on_sphere solves a dense n x n system for the planar layout;
+# exporting prism-1000, at this bound, takes 4 to 8 s on two cores
+MAX_REALIZE_VERTICES = 2000
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,6 @@ def prism_coordinates(n: int) -> Realization:
     """Both n-gon rings at the same angles, scaled onto the unit sphere."""
     if n < 3:
         raise NTooSmall(f"prism needs n >= 3, got {n}")
-    from semap.catalog import prism
-
     m = prism(n).map
     scale = (1.0 + math.sin(math.pi / n) ** 2) ** -0.5
     h = math.sin(math.pi / n)
@@ -150,8 +153,6 @@ def antiprism_coordinates(n: int) -> Realization:
     """Upper ring rotated half a step; triangles come out equilateral."""
     if n < 3:
         raise NTooSmall(f"antiprism needs n >= 3, got {n}")
-    from semap.catalog import antiprism
-
     m = antiprism(n).map
     s2 = math.sin(math.pi / n) ** 2
     scale = (s2 + math.cos(math.pi / (2 * n)) ** 2) ** -0.5
@@ -218,10 +219,14 @@ def realize_on_sphere(m: PolyhedralMap) -> Realization:
     Tangent-space gradient steps on the squared deviation of edge
     lengths from their mean, recentred and renormalised every step.
     Raises ConvergenceFailure (carrying the partial result) if the step
-    budget runs out.
+    budget runs out, and TooLarge above ``MAX_REALIZE_VERTICES``.
     """
     if m.euler_characteristic != 2:
         raise CountMismatch("spherical realization needs a sphere map")
+    if m.vertex_count > MAX_REALIZE_VERTICES:
+        raise TooLarge(
+            f"spherical realization takes at most {MAX_REALIZE_VERTICES} vertices, got {m.vertex_count}"
+        )
     coords = _lift_to_sphere(_tutte_plane(m))
     coords -= coords.mean(axis=0)
     coords /= np.linalg.norm(coords, axis=1)[:, None]

@@ -66,6 +66,29 @@ def dual(x: PolyhedralMap) -> PolyhedralMap:
     return build_map(x.rotations)
 
 
+def type_after(op: str, t: VertexType) -> VertexType | None:
+    """The type law: the vertex type of ``op`` applied to a map of type ``t``.
+
+    ``op`` names a forward operator of this module.  At a degree-d
+    vertex, each cyclic pair (a, b) of adjacent face sizes meets the
+    edge between those faces, whose new vertex has type [d, 2a, 2b]
+    after truncation and [a, d, b, d] after rectification.  Snub
+    insertion takes [3,4,q,4] to [3^4,q].  None when the pairs disagree
+    or the law does not cover ``op`` and ``t``.
+    """
+    s, d = t.sizes, t.degree
+    if op in ("truncate", "rectify"):
+        pairs = {(s[i], s[(i + 1) % d]) for i in range(d)}
+        if op == "truncate":
+            types = {normalize((d, 2 * a, 2 * b)) for a, b in pairs}
+        else:
+            types = {normalize((a, d, b, d)) for a, b in pairs}
+        return types.pop() if len(types) == 1 else None
+    if op == "insert_diagonal_matching" and d == 4 and (s[0], s[1], s[3]) == (3, 4, 4):
+        return normalize((3, 3, 3, 3, s[2]))
+    return None
+
+
 # --------------------------------------------------------------------------
 # inverse operators
 

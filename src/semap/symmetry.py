@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from semap._certpure import KERNEL_NAME, CanonicalSearch, canonical_search
+from semap._certpure import CanonicalSearch, canonical_search
 from semap.errors import (
     AlreadySpherical,
     InvalidInvolution,

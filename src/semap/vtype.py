@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable
 
 from semap.errors import (
@@ -20,6 +21,7 @@ from semap.errors import (
     MaxGonTooSmall,
     NonIntegerCount,
     NonPositiveDefect,
+    NotSemiEquivelar,
     SizeTooSmall,
     TooLarge,
     TypeSyntaxError,
@@ -104,8 +106,6 @@ def vertex_type_at(m: PolyhedralMap, v: int) -> VertexType:
 
 def semi_equivelar_type(m: PolyhedralMap):
     """The common vertex type, or a NotSemiEquivelar value with witnesses."""
-    from semap.errors import NotSemiEquivelar
-
     t0 = vertex_type_at(m, 0)
     for v in range(1, m.vertex_count):
         tv = vertex_type_at(m, v)
@@ -259,8 +259,6 @@ def _positive_defect_multisets(d: int, max_gon: int):
 
 
 def _cyclic_arrangements(multiset: tuple[int, ...]) -> list[VertexType]:
-    from itertools import permutations
-
     out = {VertexType(face_key(perm)) for perm in permutations(multiset)}
     return sorted(out, key=lambda t: t.sizes)
 

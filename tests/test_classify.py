@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -29,7 +32,7 @@ from semap.errors import (
     WrongShape,
     WrongSphere,
 )
-from semap.map_core import build_map, face_key
+from semap.map_core import build_map, face_key, format_map_text
 from semap.symmetry import are_isomorphic, automorphism_group
 from semap.vtype import normalize, semi_equivelar_type
 
@@ -91,11 +94,37 @@ def test_identify_guards():
 
 def test_identify_refuses_a_wrong_base(monkeypatch):
     # build the entry before the table is changed, so its memoized map
-    # stays the true truncated cube
-    m = _relabel(archimedean("truncated-cube").map, random.Random(3))
-    monkeypatch.setitem(DERIVATIONS, "truncated-cube", ("truncate", "octahedron"))
+    # stays the true cuboctahedron; rectify(octahedron) has the
+    # cuboctahedron's type too, so the row still claims [3,4,3,4]
+    m = _relabel(archimedean("cuboctahedron").map, random.Random(3))
+    monkeypatch.setitem(DERIVATIONS, "cuboctahedron", ("rectify", "octahedron"))
     with pytest.raises(ClassificationViolation, match="led to cube, not octahedron"):
         identify(m)
+
+
+def test_cold_identify_builds_only_the_named_chain():
+    # a fresh process reads the derivation types from the type law, so
+    # naming a snub dodecahedron builds it, the small
+    # rhombicosidodecahedron and the icosidodecahedron, and no other
+    # Archimedean entry
+    text = format_map_text(_relabel(archimedean("snub-dodecahedron").map, random.Random(5)))
+    script = (
+        "import sys\n"
+        "from semap import catalog, classify, map_core\n"
+        "m = map_core.parse_map_text(sys.stdin.read())\n"
+        "print(classify.identify(m).name, catalog.archimedean.cache_info().currsize)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=text,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["snub-dodecahedron", "3"]
 
 
 def test_identify_family_members_beyond_catalog_bound():

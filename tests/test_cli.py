@@ -354,3 +354,29 @@ def test_huge_max_gon_is_too_large(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     assert "error: TooLarge: max_gon 100000000 >" in proc.stderr
     assert not (tmp_path / "catalog").exists()
+
+
+def test_export_past_the_vertex_bound_is_too_large(tmp_path):
+    # Capped at 1 GiB of address space: without the bound, the dense
+    # layout system of prism-10000 ends in a MemoryError there.
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        limit = 1024 ** 3
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        from semap.cli import main
+        if main(["build", "prism-10000", "--out", sys.argv[1]]) != 0:
+            sys.exit("build failed")
+        sys.exit(main(["export", "--in", sys.argv[1], "--format", "off", "--out", sys.argv[2]]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "p.map"), str(tmp_path / "p.off")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: TooLarge: spherical realization takes at most 2000 vertices, got 20000" in proc.stderr

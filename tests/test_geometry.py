@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from semap.catalog import antiprism, platonic, prism
-from semap.errors import CountMismatch, MapFormatError, NTooSmall
+from semap.errors import CountMismatch, MapFormatError, NTooSmall, TooLarge
 from semap.geometry import (
+    MAX_REALIZE_VERTICES,
     antiprism_coordinates,
     export,
     parse_off,
@@ -87,6 +88,13 @@ def test_realize_rejects_projective_plane():
 
     with pytest.raises(CountMismatch):
         realize_on_sphere(rp2_catalog()[0].map)
+
+
+def test_realize_refuses_maps_past_the_bound():
+    m = prism(MAX_REALIZE_VERTICES // 2 + 1).map
+    assert m.vertex_count == MAX_REALIZE_VERTICES + 2
+    with pytest.raises(TooLarge, match=f"at most {MAX_REALIZE_VERTICES} vertices"):
+        realize_on_sphere(m)
 
 
 def test_off_round_trip():

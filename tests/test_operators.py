@@ -15,6 +15,7 @@ from semap.operators import (
     rectify,
     remove_deep_blue,
     truncate,
+    type_after,
 )
 from semap.symmetry import are_isomorphic
 from semap.vtype import normalize, semi_equivelar_type
@@ -55,6 +56,17 @@ def test_rectify_laws():
         assert r.vertex_count == x.edge_count
         assert all(r.degree(v) == 4 for v in range(r.vertex_count))
         assert r.euler_characteristic == 2
+
+
+def test_type_law_examples():
+    assert type_after("truncate", normalize((3, 3, 3))) == normalize((3, 6, 6))
+    assert type_after("rectify", normalize((4, 4, 4))) == normalize((3, 4, 3, 4))
+    assert type_after("insert_diagonal_matching", normalize((3, 4, 5, 4))) == normalize((3, 3, 3, 3, 5))
+    # the pairs (3,4) and (4,4) of [3,4^3] give [4,6,8] and [4,8^2]
+    assert type_after("truncate", normalize((3, 4, 4, 4))) is None
+    assert type_after("rectify", normalize((3, 4, 4, 4))) is None
+    assert type_after("insert_diagonal_matching", normalize((4, 6, 8))) is None
+    assert type_after("dual", normalize((3, 3, 3))) is None
 
 
 def test_dual():
