@@ -14,7 +14,8 @@ of McKay & Piperno, "Practical graph isomorphism II" (2014): a start in
 the orbit of an already tried start has the same code, so it is
 skipped.  Automorphisms act freely on flags, so the orbit of the best
 start under the generators found is its full orbit, whose size is the
-order of the automorphism group.
+order of the automorphism group; the generators and that regular orbit
+are the whole group, as in nauty and Traces, with no element listed.
 """
 from __future__ import annotations
 

@@ -202,7 +202,7 @@ def _cmd_autgroup(args) -> int:
                     "order": group.order,
                     "orbits": [list(o) for o in group.orbits],
                     "vertex_transitive": transitive,
-                    "permutations": [cycle_notation(p) for p in group.permutations],
+                    "generators": [cycle_notation(p) for p in group.generators],
                 }
             )
         )
@@ -210,7 +210,7 @@ def _cmd_autgroup(args) -> int:
         print(f"order: {group.order}")
         print(f"orbits: {' '.join(str(len(o)) for o in group.orbits)}")
         print(f"vertex-transitive: {'true' if transitive else 'false'}")
-        for p in group.permutations:
+        for p in group.generators:
             print(cycle_notation(p))
     return 0
 

@@ -135,10 +135,6 @@ class PolyhedralMap:
         )
 
 
-def euler_characteristic(m: PolyhedralMap) -> int:
-    return m.euler_characteristic
-
-
 def face_cycle(m: PolyhedralMap, v: int) -> FaceCycle:
     """The cyclic sequence of faces incident to ``v``; length = degree."""
     return FaceCycle(v, m.rotations[v])

@@ -4,7 +4,9 @@ Certificates are minimum flag-BFS codes, so isomorphism naturally
 includes orientation-reversing correspondences.  The same search that
 finds the minimum code finds generators of the automorphism group: two
 start flags with equal codes determine exactly one automorphism, since
-the flag graph of a polyhedral map is rigid.
+the flag graph of a polyhedral map is rigid.  The group is kept as those
+generators plus the orbit of the start flag, on which it acts regularly:
+each orbit flag names one element, built when iterated, never stored.
 
 The orientation double cover of a projective-plane map needs no flags:
 a cover vertex is a base vertex with a direction of its link cycle, each
@@ -13,10 +15,10 @@ the direction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
-from semap._certpure import CanonicalSearch, canonical_search
+from semap._certpure import CanonicalSearch, _find, canonical_search
 from semap.errors import (
     AlreadySpherical,
     InvalidInvolution,
@@ -101,22 +103,46 @@ def _maps_faces(a: PolyhedralMap, b: PolyhedralMap, sigma) -> bool:
 
 @dataclass(frozen=True)
 class AutomorphismGroup:
-    """All vertex permutations preserving the face set."""
+    """Vertex generators plus a breadth-first tree over the start flag's orbit.
 
-    permutations: tuple[tuple[int, ...], ...]
-    orbits: tuple[tuple[int, ...], ...] = field(compare=False)
+    Aut acts freely on flags, so orbit flag k names one element: the
+    automorphism taking the start flag to it.  Element 0 is the identity
+    and element k is ``generators[via[k]]`` after element ``parent[k]``.
+    """
+
+    vertex_count: int
+    generators: tuple[tuple[int, ...], ...]
+    parent: tuple[int, ...]
+    via: tuple[int, ...]
+    orbits: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        return len(self.permutations)
+        return len(self.parent)
+
+    @property
+    def permutations(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self)
+
+    def __iter__(self):
+        """Elements in orbit order, holding only those with children still to come."""
+        held = [tuple(range(self.vertex_count))]
+        first = 0  # the element number of held[0]; parents never decrease
+        yield held[0]
+        for p, j in zip(self.parent[1:], self.via[1:]):
+            del held[: p - first]
+            first = p
+            held.append(itemgetter(*held[0])(self.generators[j]))  # generator after held[0]
+            yield held[-1]
 
 
 def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
     """The group generated by the automorphisms the canonical search found.
 
     Complete because the search's orbit of its best start flag is the
-    full flag orbit, whose size is the group order; the closure is
-    checked against that size, and every generator against the face set.
+    full flag orbit, whose size is the group order; the orbit reached
+    from the generators is checked against that size, and every
+    generator against the face set.
     """
     group = m._cache.get("autgroup")
     if group is not None:
@@ -133,37 +159,30 @@ def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
             raise SymmetryCheckFailed("flag automorphism does not preserve the faces")
         generators.append(sigma)
 
-    # closure under right multiplication; itemgetter(*q)(p) is p after q
-    compose = [itemgetter(*q) for q in generators]
-    identity = tuple(range(m.vertex_count))
-    elements = {identity}
-    frontier = [identity]
-    while frontier and len(elements) <= search.orbit_size:
-        new = []
-        for p in frontier:
-            for times_q in compose:
-                pq = times_q(p)
-                if pq not in elements:
-                    elements.add(pq)
-                    new.append(pq)
-        frontier = new
-    if len(elements) != search.orbit_size:
+    orbit, parent, via = [search.start], [-1], [-1]
+    seen = {search.start}
+    for k, fl in enumerate(orbit):
+        for j, perm in enumerate(search.generators):
+            if perm[fl] not in seen:
+                seen.add(perm[fl])
+                orbit.append(perm[fl])
+                parent.append(k)
+                via.append(j)
+    if len(orbit) != search.orbit_size:
         raise SymmetryCheckFailed(
-            f"generated group has {len(elements)} elements, "
+            f"generated group has {len(orbit)} elements, "
             f"but the start flag orbit has {search.orbit_size}"
         )
-    perms = sorted(elements)
 
-    seen = [False] * m.vertex_count
-    orbits = []
+    root = list(range(m.vertex_count))
+    for sigma in generators:
+        for v, w in enumerate(sigma):
+            root[_find(root, w)] = _find(root, v)
+    orbits = {}  # keyed by root, in order of each orbit's least vertex
     for v in range(m.vertex_count):
-        if seen[v]:
-            continue
-        orbit = sorted({p[v] for p in perms})
-        for w in orbit:
-            seen[w] = True
-        orbits.append(tuple(orbit))
-    group = AutomorphismGroup(tuple(perms), tuple(orbits))
+        orbits.setdefault(_find(root, v), []).append(v)
+    orbits = tuple(map(tuple, orbits.values()))
+    group = AutomorphismGroup(m.vertex_count, tuple(generators), tuple(parent), tuple(via), orbits)
     m._cache["autgroup"] = group
     return group
 
@@ -176,41 +195,23 @@ def is_vertex_transitive(m: PolyhedralMap) -> bool:
 # antipodal symmetry and the projective-plane quotient
 
 
-def _edge_orbit_free(m: PolyhedralMap, sigma) -> bool:
-    for u, v in m.edges:
-        if {sigma[u], sigma[v]} == {u, v}:
-            return False
-    return True
-
-
-def _face_orbit_free(m: PolyhedralMap, sigma) -> bool:
-    keys = face_keys(m)
-    for f in m.faces:
-        img = face_key(tuple(sigma[v] for v in f))
-        if img == face_key(f):
-            return False
-        if img not in keys:
-            raise SymmetryCheckFailed("permutation maps a face outside the map")
-    return True
-
-
 def is_free_involution(m: PolyhedralMap, sigma) -> bool:
     """Order-2 automorphism with no fixed vertex, edge or face."""
     n = m.vertex_count
     if len(sigma) != n or sorted(sigma) != list(range(n)):
         return False
-    if any(sigma[sigma[v]] != v for v in range(n)):
-        return False
-    if any(sigma[v] == v for v in range(n)):
+    if any(sigma[sigma[v]] != v or sigma[v] == v for v in range(n)):
         return False
     if not _maps_faces(m, m, sigma):
         return False
-    return _edge_orbit_free(m, sigma) and _face_orbit_free(m, sigma)
+    if any({sigma[u], sigma[v]} == {u, v} for u, v in m.edges):
+        return False
+    return all(face_key(tuple(sigma[v] for v in f)) != face_key(f) for f in m.faces)
 
 
 def free_involutions(m: PolyhedralMap) -> list[tuple[int, ...]]:
     """All automorphisms of order 2 acting freely on vertices, edges and faces."""
-    return [s for s in automorphism_group(m).permutations if is_free_involution(m, s)]
+    return sorted(s for s in automorphism_group(m) if is_free_involution(m, s))
 
 
 def quotient(m: PolyhedralMap, sigma) -> PolyhedralMap:

@@ -361,6 +361,3 @@ def parse_vertex_type(text: str) -> VertexType:
         sizes.extend([p] * n)
     return normalize(sizes)
 
-
-def format_vertex_type(t: VertexType) -> str:
-    return str(t)

@@ -56,8 +56,9 @@ def test_no_assert_in_package():
 
 
 # identify lifts every rp2 entry through double_cover; surgery closes
-# both snubs with insert_diagonal_matching
-@pytest.mark.parametrize("suite", ["identify", "surgery"])
+# both snubs with insert_diagonal_matching; transitivity checks the
+# automorphism groups and free_involutions
+@pytest.mark.parametrize("suite", ["identify", "surgery", "transitivity"])
 def test_suite_passes_under_optimize(suite):
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "semap.cli", "verify", "--suite", suite],

@@ -8,7 +8,7 @@ import pytest
 
 from semap.catalog import archimedean
 from semap.cli import main
-from semap.map_core import format_map_text, parse_map_text
+from semap.map_core import face_key, format_map_text, parse_map_text
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -144,7 +144,29 @@ def test_autgroup_pseudo(capsys, tmp_path):
     lines = stdout.splitlines()
     assert "order: 16" in lines
     assert "vertex-transitive: false" in lines
-    assert "()" in lines  # identity permutation is listed
+    # the generators follow the three header lines; they must close to
+    # 16 permutations that preserve the face set
+    m = parse_map_text(src.read_text())
+    generators = [_from_cycles(line, m.vertex_count) for line in lines[3:]]
+    group = {tuple(range(m.vertex_count))}
+    frontier = list(group)
+    while frontier:
+        products = {tuple(g[v] for v in p) for p in frontier for g in generators}
+        frontier = list(products - group)
+        group |= products
+    assert len(group) == 16
+    keys = {face_key(f) for f in m.faces}
+    assert all({face_key(tuple(p[v] for v in f)) for f in m.faces} == keys for p in group)
+
+
+def _from_cycles(text, n):
+    """The permutation of range(n) written as ``text`` in cycle notation."""
+    sigma = list(range(n))
+    for cycle in text.strip("()").split(")("):
+        points = [int(x) for x in cycle.split()]
+        for a, b in zip(points, points[1:] + points[:1]):
+            sigma[a] = b
+    return tuple(sigma)
 
 
 def test_enum_types_counts(capsys):
@@ -380,3 +402,30 @@ def test_export_past_the_vertex_bound_is_too_large(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "error: TooLarge: spherical realization takes at most 2000 vertices, got 20000" in proc.stderr
+
+
+def test_autgroup_of_a_large_drum_fits_in_512_mib(tmp_path):
+    # prism-4000 has 16 000 automorphisms of 8 000 vertices each; the
+    # group is kept as generators and a flag orbit, so it fits in a
+    # child capped at 512 MiB of address space
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        limit = 512 * 1024 ** 2
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        from semap.cli import main
+        if main(["build", "prism-4000", "--out", sys.argv[1]]) != 0:
+            sys.exit("build failed")
+        sys.exit(main(["autgroup", "--in", sys.argv[1]]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "p.map")],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "order: 16000" in proc.stdout.splitlines()

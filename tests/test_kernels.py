@@ -138,7 +138,13 @@ def test_pruned_search_matches_oracle(m):
     assert (search.code, search.start) == (code, start)
     assert canonical_certificate(m).code == code
     assert search.orbit_size == len(perms)
-    assert set(automorphism_group(m).permutations) == perms
+    group = automorphism_group(m)
+    assert set(group.permutations) == perms
+    orbits = {tuple(sorted({p[v] for p in perms})) for v in range(m.vertex_count)}
+    assert sorted(group.orbits) == sorted(orbits)
+    elements = list(group)
+    assert len(set(elements)) == len(elements) == group.order
+    assert elements[0] == tuple(range(m.vertex_count))
 
 
 def _ring(count):
