@@ -16,7 +16,6 @@ from semap import catalog, verification
 from semap.classify import identify
 from semap.errors import (
     ClassificationViolation,
-    ConvergenceFailure,
     MapFormatError,
     NoFreeInvolution,
     SemapError,
@@ -220,20 +219,13 @@ def _cmd_export(args) -> int:
     from semap import geometry
 
     m = _read_map(args.infile)
-    note = None
-    try:
-        realization = geometry.realize_on_sphere(m)
-    except ConvergenceFailure as exc:
-        realization = exc.realization
-        note = str(exc)
+    realization = geometry.realize_on_sphere(m)
     blob = geometry.export(realization, m, args.format)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(blob)
     else:
         sys.stdout.buffer.write(blob)
-    if note:
-        print(f"note: {note}; exporting the partial relaxation", file=sys.stderr)
     if args.json:
         r = realization.report
         print(

@@ -178,13 +178,3 @@ class CountMismatch(SemapError):
 
 class TooLarge(SemapError):
     pass
-
-
-# ---------------------------------------------------------------- geometry
-
-class ConvergenceFailure(SemapError):
-    """Relaxation budget exhausted; carries the partial result."""
-
-    def __init__(self, message: str, realization=None):
-        self.realization = realization
-        super().__init__(message)

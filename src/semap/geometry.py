@@ -1,11 +1,13 @@
 """Coordinates on the unit sphere, validation and OFF/SVG export.
 
-Prisms and antiprisms have closed-form coordinates; everything else is
-realised by a planar embedding lifted to the sphere and relaxed toward
-equal edge lengths.  Closed-form realizations are tagged
-``exact-formula`` and meet tight tolerances (1e-12 on norms, 1e-9 on
-derived identities); relaxed ones are tagged ``relaxed`` and only their
-invariants are guaranteed.
+``realize_on_sphere`` names a sphere map's catalog entry with
+``identify``, realizes the entry and pulls its coordinates back through
+the witness.  Prisms and antiprisms have closed forms (``exact-formula``).
+The other entries are eigenpolytopes (``eigenvector``; Godsil, "Graphs,
+groups and polytopes", 1978), but for the pseudorhombicuboctahedron: the
+small rhombicuboctahedron with one square turned.  Every realization meets
+1e-12 on norms, edge lengths, planarity and regularity, or raises
+``InvariantViolated``.
 """
 from __future__ import annotations
 
@@ -15,15 +17,25 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from semap.catalog import antiprism, prism
-from semap.errors import ConvergenceFailure, CountMismatch, MapFormatError, NTooSmall, TooLarge
-from semap.map_core import PolyhedralMap
+from semap.catalog import antiprism, entry_by_name, prism
+from semap.classify import identify
+from semap.errors import CountMismatch, InvariantViolated, MapFormatError, TooLarge
+from semap.map_core import PolyhedralMap, square_neighbour_counts
+from semap.symmetry import automorphism_group
 
-_STEP_BUDGET = 100_000
-_STEP_TOLERANCE = 1e-12
+# every residual of a realization's report stays within this
+_TOLERANCE = 1e-12
+# eigenvalues closer than this, relative to the top one, are one eigenvalue
+_EIGEN_GAP = 1e-9
+# Newton on the edge-orbit weights: finite-difference step, the residual
+# at round-off level where it stops, and its step cap
+_NEWTON_DELTA = 1e-7
+_NEWTON_ROUNDOFF = 1e-14
+_NEWTON_STEPS = 8
 
-# realize_on_sphere solves a dense n x n system for the planar layout;
-# exporting prism-1000, at this bound, takes 4 to 8 s on two cores
+# guards identify's canonical search on large drums, and the face check,
+# quadratic in the face size; exporting prism-1000, at this bound, takes
+# about 0.5 s and 110 MiB on two cores
 MAX_REALIZE_VERTICES = 2000
 
 
@@ -35,7 +47,8 @@ class ValidationReport:
     face's best-fit plane; ``regularity`` the largest deviation of face
     edge lengths and circumradii from their per-face means.
     ``faces_simple`` records the per-face simple-polygon validation
-    (the only crossing check performed).
+    (the only crossing check performed).  ``iterations`` counts Newton
+    steps; ``converged`` is True on every report that is returned.
     """
 
     unit_norm_deviation: float
@@ -50,7 +63,7 @@ class ValidationReport:
 @dataclass(frozen=True)
 class Realization:
     coordinates: np.ndarray  # (f0, 3)
-    provenance: str          # "exact-formula" | "relaxed"
+    provenance: str          # "exact-formula" | "eigenvector"
     report: ValidationReport
 
 
@@ -59,36 +72,27 @@ def _edge_lengths(m: PolyhedralMap, coords: np.ndarray) -> np.ndarray:
     return np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1)
 
 
-def _face_residuals(m: PolyhedralMap, coords: np.ndarray) -> tuple[float, float]:
-    planarity = 0.0
-    regularity = 0.0
+def _faces_by_size(m: PolyhedralMap, coords: np.ndarray):
+    """Centred face corners, one (faces, k, 3) array per face size k."""
+    sizes: dict[int, list] = {}
     for face in m.faces:
-        pts = coords[list(face)]
-        centre = pts.mean(axis=0)
-        centred = pts - centre
-        # smallest singular value = max deviation scale from best-fit plane
-        _, s, vt = np.linalg.svd(centred, full_matrices=False)
-        normal = vt[-1]
-        planarity = max(planarity, float(np.max(np.abs(centred @ normal))))
-        sides = np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1)
-        radii = np.linalg.norm(centred, axis=1)
-        regularity = max(
-            regularity,
-            float(np.max(np.abs(sides - sides.mean()))),
-            float(np.max(np.abs(radii - radii.mean()))),
-        )
+        sizes.setdefault(len(face), []).append(face)
+    for faces in sizes.values():
+        pts = coords[np.array(faces)]
+        yield pts - pts.mean(axis=1, keepdims=True)
+
+
+def _face_residuals(m: PolyhedralMap, coords: np.ndarray) -> tuple[float, float]:
+    planarity = regularity = 0.0
+    for centred in _faces_by_size(m, coords):
+        # the last right singular vector is the normal of the best-fit plane
+        normals = np.linalg.svd(centred, full_matrices=False)[2][:, -1]
+        planarity = max(planarity, float(np.max(np.abs(np.einsum("fkd,fd->fk", centred, normals)))))
+        sides = np.linalg.norm(centred - np.roll(centred, -1, axis=1), axis=2)
+        radii = np.linalg.norm(centred, axis=2)
+        for lengths in (sides, radii):
+            regularity = max(regularity, float(np.abs(lengths - lengths.mean(axis=1, keepdims=True)).max()))
     return planarity, regularity
-
-
-def _segments_cross(p, q, r, s) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
-
-    return (
-        orient(p, q, r) * orient(p, q, s) < 0
-        and orient(r, s, p) * orient(r, s, q) < 0
-    )
 
 
 def _faces_simple(m: PolyhedralMap, coords: np.ndarray) -> bool:
@@ -97,28 +101,26 @@ def _faces_simple(m: PolyhedralMap, coords: np.ndarray) -> bool:
     Each face is projected to its best-fit plane; non-adjacent boundary
     segments must not intersect there.
     """
-    for face in m.faces:
-        pts = coords[list(face)]
-        k = len(face)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.linalg.norm(pts[i] - pts[j]) < 1e-9:
-                    return False
-        centre = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - centre, full_matrices=False)
-        flat = (pts - centre) @ vt[:2].T
-        for i in range(k):
-            a, b = flat[i], flat[(i + 1) % k]
-            for j in range(i + 1, k):
-                if j == i or (j + 1) % k == i or j == (i + 1) % k:
-                    continue
-                c, d = flat[j], flat[(j + 1) % k]
-                if _segments_cross(a, b, c, d):
-                    return False
+    for centred in _faces_by_size(m, coords):
+        k = centred.shape[1]
+        gaps = sum((centred[:, :, None, d] - centred[:, None, :, d]) ** 2 for d in range(3))
+        if np.any(gaps[:, ~np.eye(k, dtype=bool)] < 1e-18):
+            return False
+        flat = np.einsum("fkd,fjd->fkj", centred, np.linalg.svd(centred, full_matrices=False)[2][:, :2])
+        x, y = flat[..., 0], flat[..., 1]
+        dx, dy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
+        # turn[f, i, j]: the side of boundary segment i that corner j is on
+        turn = dx[:, :, None] * (y[:, None] - y[:, :, None]) - dy[:, :, None] * (x[:, None] - x[:, :, None])
+        turn = np.where(np.abs(turn) < 1e-12, 0, np.sign(turn))
+        # straddles[f, i, j]: segment j has its ends on both sides of segment
+        # i; never for adjacent segments, whose shared corner turns exactly 0
+        straddles = turn * np.roll(turn, -1, axis=2) < 0
+        if np.any(straddles & straddles.transpose(0, 2, 1)):
+            return False
     return True
 
 
-def _report(m, coords, iterations=0, converged=True) -> ValidationReport:
+def _report(m, coords, iterations=0) -> ValidationReport:
     norms = np.linalg.norm(coords, axis=1)
     lengths = _edge_lengths(m, coords)
     planarity, regularity = _face_residuals(m, coords)
@@ -128,98 +130,117 @@ def _report(m, coords, iterations=0, converged=True) -> ValidationReport:
         max_planarity_residual=planarity,
         max_regularity_residual=regularity,
         iterations=iterations,
-        converged=converged,
         faces_simple=_faces_simple(m, coords),
     )
 
 
+def _drum_points(family: str, n: int) -> np.ndarray:
+    """Two n-gon rings at heights +h and -h, scaled onto the unit sphere."""
+    s, half = math.sin(math.pi / n), math.sin(math.pi / (2 * n))
+    twist, h = (0.0, s) if family == "prism" else (math.pi / n, math.sqrt(s * s - half * half))
+    a = 2.0 * math.pi * np.arange(n) / n
+    top = np.column_stack((np.cos(a + twist), np.sin(a + twist), np.full(n, h)))
+    bottom = np.column_stack((np.cos(a), np.sin(a), np.full(n, -h)))
+    return np.vstack((top, bottom)) / math.hypot(1.0, h)
+
+
 def prism_coordinates(n: int) -> Realization:
     """Both n-gon rings at the same angles, scaled onto the unit sphere."""
-    if n < 3:
-        raise NTooSmall(f"prism needs n >= 3, got {n}")
-    m = prism(n).map
-    scale = (1.0 + math.sin(math.pi / n) ** 2) ** -0.5
-    h = math.sin(math.pi / n)
-    coords = np.empty((2 * n, 3))
-    for k in range(n):
-        a = 2.0 * k * math.pi / n
-        coords[k] = (math.cos(a), math.sin(a), h)
-        coords[n + k] = (math.cos(a), math.sin(a), -h)
-    coords *= scale
+    m = prism(n).map  # raises NTooSmall below 3
+    coords = _drum_points("prism", n)
     return Realization(coords, "exact-formula", _report(m, coords))
 
 
 def antiprism_coordinates(n: int) -> Realization:
     """Upper ring rotated half a step; triangles come out equilateral."""
-    if n < 3:
-        raise NTooSmall(f"antiprism needs n >= 3, got {n}")
-    m = antiprism(n).map
-    s2 = math.sin(math.pi / n) ** 2
-    scale = (s2 + math.cos(math.pi / (2 * n)) ** 2) ** -0.5
-    h = math.sqrt(s2 - math.sin(math.pi / (2 * n)) ** 2)
-    coords = np.empty((2 * n, 3))
-    for k in range(n):
-        a_up = (2 * k + 1) * math.pi / n
-        a_dn = 2 * k * math.pi / n
-        coords[k] = (math.cos(a_up), math.sin(a_up), h)
-        coords[n + k] = (math.cos(a_dn), math.sin(a_dn), -h)
-    coords *= scale
+    m = antiprism(n).map  # raises NTooSmall below 3
+    coords = _drum_points("antiprism", n)
     return Realization(coords, "exact-formula", _report(m, coords))
 
 
 # --------------------------------------------------------------------------
-# generic spherical realization
+# realization of every sphere entry
 
 
-def _tutte_plane(m: PolyhedralMap) -> np.ndarray:
-    """Planar layout: largest face pinned to a circle, rest harmonic."""
-    outer = max(range(len(m.faces)), key=lambda i: (len(m.faces[i]), -i))
-    boundary = m.faces[outer]
+def _eigenspace(a: np.ndarray) -> np.ndarray:
+    """Unit rows of the eigenspace of ``a`` just below its top eigenvalue.
+
+    Raises InvariantViolated unless that eigenspace is 3-dimensional.
+    """
+    values, vectors = np.linalg.eigh(a)  # ascending
+    ends = [-1, -1, *np.flatnonzero(np.diff(values) > _EIGEN_GAP * abs(values[-1]))]
+    low, high = ends[-2] + 1, ends[-1] + 1
+    if high - low != 3:
+        raise InvariantViolated(f"the eigenspace below the top one has dimension {high - low}, not 3")
+    x = vectors[:, low:high]
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _eigenpolytope(m: PolyhedralMap) -> tuple[np.ndarray, int]:
+    """Eigenvector coordinates with all edges equal, and the Newton steps taken.
+
+    The adjacency matrix carries one weight per edge orbit of the
+    automorphism group, so the edges of an orbit have one length.
+    Newton on the weights, the first held at 1, makes the orbits agree.
+    """
+    index = {e: i for i, e in enumerate(m.edges)}
+    least = list(range(m.edge_count))  # the least edge of each edge's orbit
+    for sigma in automorphism_group(m):
+        for i, (u, v) in enumerate(m.edges):
+            least[i] = min(least[i], index[tuple(sorted((sigma[u], sigma[v])))])
+    firsts, orbit = np.unique(least, return_inverse=True)
+    edges = np.array(m.edges)
     n = m.vertex_count
-    pos = np.zeros((n, 2))
-    pinned = np.zeros(n, dtype=bool)
-    k = len(boundary)
-    for i, v in enumerate(boundary):
-        a = 2.0 * math.pi * i / k
-        pos[v] = (math.cos(a), math.sin(a))
-        pinned[v] = True
-    inner = [v for v in range(n) if not pinned[v]]
-    if inner:
-        index = {v: i for i, v in enumerate(inner)}
-        a_mat = np.zeros((len(inner), len(inner)))
-        rhs = np.zeros((len(inner), 2))
-        for v in inner:
-            i = index[v]
-            nbrs = m.links[v]
-            a_mat[i, i] = len(nbrs)
-            for u in nbrs:
-                if pinned[u]:
-                    rhs[i] += pos[u]
-                else:
-                    a_mat[i, index[u]] -= 1.0
-        sol = np.linalg.solve(a_mat, rhs)
-        for v in inner:
-            pos[v] = sol[index[v]]
-    return pos
+
+    def solve(weights):
+        a = np.zeros((n, n))
+        a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = weights[orbit]
+        x = _eigenspace(a)
+        lengths = np.linalg.norm(x[edges[firsts, 0]] - x[edges[firsts, 1]], axis=1)
+        return x, lengths[1:] - lengths[0]
+
+    weights = np.ones(len(firsts))
+    coords, residual = solve(weights)
+    steps = 0
+    while steps < _NEWTON_STEPS and np.max(np.abs(residual), initial=0.0) > _NEWTON_ROUNDOFF:
+        jacobian = np.column_stack([
+            (solve(weights + _NEWTON_DELTA * unit)[1] - residual) / _NEWTON_DELTA
+            for unit in np.eye(len(weights))[1:]
+        ])
+        weights[1:] -= np.linalg.solve(jacobian, residual)
+        coords, residual = solve(weights)
+        steps += 1
+    return coords, steps
 
 
-def _lift_to_sphere(pos: np.ndarray) -> np.ndarray:
-    # inverse stereographic projection from the north pole
-    r2 = (pos ** 2).sum(axis=1)
-    denominator = r2 + 1.0
-    coords = np.column_stack(
-        (2.0 * pos[:, 0], 2.0 * pos[:, 1], r2 - 1.0)
-    ) / denominator[:, None]
-    return coords
+def _entry_coordinates(name: str) -> tuple[np.ndarray, str, int]:
+    """A catalog entry's coordinates, their provenance and Newton steps."""
+    family, _, n = name.rpartition("-")
+    if family in ("prism", "antiprism"):
+        return _drum_points(family, int(n)), "exact-formula", 0
+    if name != "pseudo-rhombicuboctahedron":
+        coords, steps = _eigenpolytope(entry_by_name(name).map)
+        return coords, "eigenvector", steps
+    # pseudo_rhombicuboctahedron gyrates the cap on the small
+    # rhombicuboctahedron's first axis square and keeps every label, so
+    # only that square moves: each corner goes halfway to the next one.
+    # Stated by the labels, the turn is blind to the eigenbasis' handedness.
+    y = entry_by_name("small-rhombicuboctahedron").map
+    coords, steps = _eigenpolytope(y)
+    square = list(y.faces[min(i for i, c in square_neighbour_counts(y).items() if c == 4)])
+    p = coords[square]
+    centre = p.mean(axis=0)
+    coords[square] = centre + (p + np.roll(p, -1, axis=0) - 2.0 * centre) / math.sqrt(2.0)
+    return coords, "eigenvector", steps
 
 
 def realize_on_sphere(m: PolyhedralMap) -> Realization:
-    """Relax a lifted planar layout toward equal edge lengths.
+    """The coordinates of ``m``'s catalog entry, pulled back through its witness.
 
-    Tangent-space gradient steps on the squared deviation of edge
-    lengths from their mean, recentred and renormalised every step.
-    Raises ConvergenceFailure (carrying the partial result) if the step
-    budget runs out, and TooLarge above ``MAX_REALIZE_VERTICES``.
+    Raises CountMismatch off the sphere, TooLarge above
+    ``MAX_REALIZE_VERTICES``, NotSemiEquivelar (from ``identify``) on a
+    map that is not semi-equivelar, and InvariantViolated if a residual
+    exceeds 1e-12 or a face is not simple.
     """
     if m.euler_characteristic != 2:
         raise CountMismatch("spherical realization needs a sphere map")
@@ -227,41 +248,16 @@ def realize_on_sphere(m: PolyhedralMap) -> Realization:
         raise TooLarge(
             f"spherical realization takes at most {MAX_REALIZE_VERTICES} vertices, got {m.vertex_count}"
         )
-    coords = _lift_to_sphere(_tutte_plane(m))
-    coords -= coords.mean(axis=0)
-    coords /= np.linalg.norm(coords, axis=1)[:, None]
-
-    e = np.array(m.edges)
-    step = 0.05
-    iterations = 0
-    converged = False
-    for iterations in range(1, _STEP_BUDGET + 1):
-        diff = coords[e[:, 0]] - coords[e[:, 1]]
-        lengths = np.linalg.norm(diff, axis=1)
-        target = lengths.mean()
-        # gradient of sum (l_e - target)^2 wrt endpoints
-        unit = diff / lengths[:, None]
-        pull = (lengths - target)[:, None] * unit
-        grad = np.zeros_like(coords)
-        np.add.at(grad, e[:, 0], pull)
-        np.add.at(grad, e[:, 1], -pull)
-        # tangent component only
-        grad -= (np.sum(grad * coords, axis=1))[:, None] * coords
-        update = -step * grad
-        coords = coords + update
-        coords -= coords.mean(axis=0)
-        coords /= np.linalg.norm(coords, axis=1)[:, None]
-        if float(np.max(np.linalg.norm(update, axis=1))) < _STEP_TOLERANCE:
-            converged = True
-            break
-    realization = Realization(
-        coords, "relaxed", _report(m, coords, iterations, converged)
+    verdict = identify(m)
+    entry_coords, provenance, steps = _entry_coordinates(verdict.name)
+    coords = entry_coords[list(verdict.witness)]
+    r = _report(m, coords, steps)
+    worst = max(
+        r.unit_norm_deviation, r.edge_length_spread, r.max_planarity_residual, r.max_regularity_residual
     )
-    if not converged:
-        raise ConvergenceFailure(
-            f"no convergence within {_STEP_BUDGET} steps", realization
-        )
-    return realization
+    if worst > _TOLERANCE or not r.faces_simple:
+        raise InvariantViolated(f"{verdict.name}: residual {worst:.1e}, faces simple: {r.faces_simple}")
+    return Realization(coords, provenance, r)
 
 
 # --------------------------------------------------------------------------

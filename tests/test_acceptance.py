@@ -26,7 +26,7 @@ _ORDERED = [
     ("identify", "7 classification with witnesses, projective catalog"),
     ("transitivity", "8 vertex transitivity and the one exception"),
     ("uniqueness", "9 exhaustive uniqueness of the regular base cases"),
-    ("geometry", "10 drum coordinates, octahedron match, OFF round trip"),
+    ("geometry", "10 every entry realized within 1e-12, OFF round trip"),
 ]
 
 
@@ -57,8 +57,9 @@ def test_no_assert_in_package():
 
 # identify lifts every rp2 entry through double_cover; surgery closes
 # both snubs with insert_diagonal_matching; transitivity checks the
-# automorphism groups and free_involutions
-@pytest.mark.parametrize("suite", ["identify", "surgery", "transitivity"])
+# automorphism groups and free_involutions; geometry certifies every
+# realization
+@pytest.mark.parametrize("suite", ["identify", "surgery", "transitivity", "geometry"])
 def test_suite_passes_under_optimize(suite):
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "semap.cli", "verify", "--suite", suite],

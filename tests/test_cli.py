@@ -8,7 +8,7 @@ import pytest
 
 from semap.catalog import archimedean
 from semap.cli import main
-from semap.map_core import face_key, format_map_text, parse_map_text
+from semap.map_core import build_map, face_key, format_map_text, parse_map_text
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -200,6 +200,26 @@ def test_export_svg(capsys, tmp_path):
     code, _, _ = run(capsys, "export", "--in", str(src), "--format", "svg", "--out", str(dst))
     assert code == 0
     assert dst.read_bytes().startswith(b"<?xml")
+
+
+def test_export_truncated_icosahedron_is_exact(capsys, tmp_path):
+    src = tmp_path / "ti.map"
+    run(capsys, "build", "truncated-icosahedron", "--out", str(src))
+    code, stdout, stderr = run(
+        capsys, "export", "--in", str(src), "--format", "off", "--out", str(tmp_path / "ti.off"), "--json"
+    )
+    assert code == 0
+    assert stderr == ""
+    assert json.loads(stdout)["edge_length_spread"] <= 1e-12
+
+
+def test_export_of_a_square_pyramid_is_not_semi_equivelar(capsys, tmp_path):
+    src = tmp_path / "pyramid.map"
+    src.write_text(format_map_text(build_map([(0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])))
+    code, _, stderr = run(capsys, "export", "--in", str(src), "--format", "off", "--out", str(tmp_path / "p.off"))
+    assert code == 1
+    assert "error: NotSemiEquivelar" in stderr
+    assert "Traceback" not in stderr
 
 
 def test_rp2_catalog_command(capsys, tmp_path):

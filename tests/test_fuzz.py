@@ -98,7 +98,7 @@ def test_parse_off_raises_only_map_format_errors(data):
         pass
 
 
-# Commands that write catalogs, run every suite or relax geometry are
+# Commands that write catalogs, run every suite or realize geometry are
 # left out: they are slow or write outside the working directory.
 _COMMANDS = ["build", "apply", "classify", "isom", "autgroup", "enum-types"]
 _arg_token = st.one_of(

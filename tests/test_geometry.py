@@ -1,18 +1,25 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from semap.catalog import antiprism, platonic, prism
-from semap.errors import CountMismatch, MapFormatError, NTooSmall, TooLarge
+from semap.catalog import ARCHIMEDEAN_NAMES, PLATONIC_NAMES, antiprism, entry_by_name, platonic, prism
+from semap.classify import identify
+from semap.errors import CountMismatch, InvariantViolated, MapFormatError, NTooSmall, TooLarge
 from semap.geometry import (
     MAX_REALIZE_VERTICES,
+    _face_residuals,
+    _faces_simple,
     antiprism_coordinates,
     export,
     parse_off,
     prism_coordinates,
     realize_on_sphere,
 )
+from semap.map_core import build_map, square_neighbour_counts
+
+NON_DRUM_NAMES = (*PLATONIC_NAMES, *ARCHIMEDEAN_NAMES, "pseudo-rhombicuboctahedron")
 
 
 def _distance_multiset(points):
@@ -64,23 +71,41 @@ def test_guards():
         antiprism_coordinates(1)
 
 
-def test_relaxed_tetrahedron_is_regular():
-    m = platonic("tetrahedron").map
-    r = realize_on_sphere(m)
-    assert r.provenance == "relaxed"
-    assert r.report.converged
-    assert r.report.unit_norm_deviation <= 1e-9
-    c = r.coordinates
-    dots = [float(np.dot(c[i], c[j])) for i in range(4) for j in range(i + 1, 4)]
-    assert max(abs(d + 1.0 / 3.0) for d in dots) <= 1e-6
+def _relabel(m, rng):
+    perm = list(range(m.vertex_count))
+    rng.shuffle(perm)
+    return build_map([tuple(perm[v] for v in f) for f in m.faces])
 
 
-def test_relaxed_prism6_near_exact():
-    m = prism(6).map
-    r = realize_on_sphere(m)
-    assert r.report.converged
-    assert r.report.edge_length_spread < 0.05
-    assert r.report.unit_norm_deviation <= 1e-9
+@pytest.mark.parametrize("name", NON_DRUM_NAMES)
+def test_relabelled_entry_realizes_exactly(name):
+    entry = entry_by_name(name).map
+    shuffled = _relabel(entry, random.Random(name))
+    r = realize_on_sphere(shuffled)
+    assert r.provenance == "eigenvector"
+    assert r.report.unit_norm_deviation <= 1e-12
+    assert r.report.edge_length_spread <= 1e-12
+    assert r.report.max_planarity_residual <= 1e-12
+    assert r.report.max_regularity_residual <= 1e-12
+    witness = list(identify(shuffled).witness)
+    assert np.array_equal(r.coordinates, realize_on_sphere(entry).coordinates[witness])
+
+
+def test_pseudo_moves_only_its_axis_square():
+    small = entry_by_name("small-rhombicuboctahedron").map
+    pseudo = entry_by_name("pseudo-rhombicuboctahedron").map
+    moved = np.any(realize_on_sphere(small).coordinates != realize_on_sphere(pseudo).coordinates, axis=1)
+    axis = min(i for i, c in square_neighbour_counts(small).items() if c == 4)
+    assert set(np.flatnonzero(moved)) == set(small.faces[axis])
+
+
+def test_no_three_dimensional_eigenspace_is_an_invariant_violation(monkeypatch):
+    def flat_spectrum(a):
+        return np.zeros(len(a)), np.eye(len(a))
+
+    monkeypatch.setattr(np.linalg, "eigh", flat_spectrum)
+    with pytest.raises(InvariantViolated, match="dimension 0, not 3"):
+        realize_on_sphere(platonic("cube").map)
 
 
 def test_realize_rejects_projective_plane():
@@ -144,3 +169,51 @@ def test_svg_structure():
     root = ET.fromstring(blob)  # well-formed XML
     paths = [el for el in root.iter() if el.tag.endswith("path")]
     assert len(paths) == entry.map.edge_count
+
+
+def _segments_cross(p, q, r, s):
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
+
+    return orient(p, q, r) * orient(p, q, s) < 0 and orient(r, s, p) * orient(r, s, q) < 0
+
+
+def _face_check_loop(pts):
+    """Planarity, regularity and simplicity of one face, pair by pair: the
+    reference for the checks that geometry runs on all faces of a size at once."""
+    k = len(pts)
+    centred = pts - pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(centred, full_matrices=False)
+    sides = np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1)
+    radii = np.linalg.norm(centred, axis=1)
+    flat = centred @ vt[:2].T
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    simple = all(np.linalg.norm(pts[i] - pts[j]) >= 1e-9 for i, j in pairs) and not any(
+        _segments_cross(flat[i], flat[(i + 1) % k], flat[j], flat[(j + 1) % k])
+        for i, j in pairs
+        if j != i + 1 and (j + 1) % k != i
+    )
+    regularity = max(np.max(np.abs(sides - sides.mean())), np.max(np.abs(radii - radii.mean())))
+    return float(np.max(np.abs(centred @ vt[-1]))), float(regularity), simple
+
+
+@pytest.mark.parametrize("name", ["prism-5", "antiprism-7", "cube", "truncated-cube"])
+def test_face_checks_match_the_loop_reference(name):
+    m = entry_by_name(name).map
+    exact = realize_on_sphere(m).coordinates
+    rng = np.random.default_rng(len(name))
+    verdicts = set()
+    for scale in (0.0, 0.05, 1.0):
+        for _ in range(10):
+            coords = exact + scale * rng.normal(size=exact.shape)
+            if scale == 0.0:
+                coords[m.faces[0][1]] = coords[m.faces[0][0]]
+            loop = [_face_check_loop(coords[list(f)]) for f in m.faces]
+            planarity, regularity = _face_residuals(m, coords)
+            assert planarity == pytest.approx(max(p for p, _, _ in loop), rel=1e-9, abs=1e-12)
+            assert regularity == pytest.approx(max(r for _, r, _ in loop), rel=1e-9, abs=1e-12)
+            simple = all(s for _, _, s in loop)
+            assert _faces_simple(m, coords) == simple
+            verdicts.add(simple)
+    assert verdicts == {True, False}
