@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from semap import operators
-from semap.catalog import DERIVATIONS, PLATONIC_NAMES, derivation_type, entry_by_name, platonic, sphere_catalog
+from semap.catalog import DERIVATIONS, PLATONIC_NAMES, derivation_type, entry_by_name, platonic
 from semap.errors import (
     ClassificationViolation,
     CountMismatch,
@@ -151,14 +151,6 @@ def identify(m: PolyhedralMap) -> Verdict:
     if witness is None:
         raise _violation(m, f"derived name {name} but certificates differ")
     return Verdict(name, witness)
-
-
-def direct_certificate_match(m: PolyhedralMap, max_gon: int = 50) -> str | None:
-    """Cross-check mode: match against every catalog certificate directly."""
-    for entry in sphere_catalog(max_gon):
-        if are_isomorphic(m, entry.map):
-            return entry.name
-    return None
 
 
 # --------------------------------------------------------------------------

@@ -236,6 +236,7 @@ def _cmd_export(args) -> int:
                     "edge_length_spread": r.edge_length_spread,
                     "max_planarity_residual": r.max_planarity_residual,
                     "max_regularity_residual": r.max_regularity_residual,
+                    "convexity_margin": r.convexity_margin,
                     "iterations": r.iterations,
                     "converged": r.converged,
                 }

@@ -80,10 +80,6 @@ class MaxGonTooSmall(SemapError):
     pass
 
 
-class TypeSyntaxError(SemapError):
-    pass
-
-
 # ---------------------------------------------------------------- operators
 
 class WrongShape(SemapError):

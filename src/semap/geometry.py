@@ -6,8 +6,9 @@ the witness.  Prisms and antiprisms have closed forms (``exact-formula``).
 The other entries are eigenpolytopes (``eigenvector``; Godsil, "Graphs,
 groups and polytopes", 1978), but for the pseudorhombicuboctahedron: the
 small rhombicuboctahedron with one square turned.  Every realization meets
-1e-12 on norms, edge lengths, planarity and regularity, or raises
-``InvariantViolated``.
+1e-12 on norms, edge lengths, planarity and regularity, and has a
+convexity margin above 1e-12, or raises ``InvariantViolated``: the map is
+then the boundary of a convex polyhedron with regular faces.
 """
 from __future__ import annotations
 
@@ -33,9 +34,9 @@ _NEWTON_DELTA = 1e-7
 _NEWTON_ROUNDOFF = 1e-14
 _NEWTON_STEPS = 8
 
-# guards identify's canonical search on large drums, and the face check,
-# quadratic in the face size; exporting prism-1000, at this bound, takes
-# about 0.5 s and 110 MiB on two cores
+# guards identify's canonical search on large drums, and the convexity
+# margin, one distance per face and vertex; exporting prism-1000, at this
+# bound, takes about 0.5 s and 62 MiB on two cores
 MAX_REALIZE_VERTICES = 2000
 
 
@@ -46,18 +47,35 @@ class ValidationReport:
     ``planarity`` is the largest distance of a face vertex from its
     face's best-fit plane; ``regularity`` the largest deviation of face
     edge lengths and circumradii from their per-face means.
-    ``faces_simple`` records the per-face simple-polygon validation
-    (the only crossing check performed).  ``iterations`` counts Newton
-    steps; ``converged`` is True on every report that is returned.
+    ``convexity_margin`` is the least distance from a face's plane to a
+    vertex off the face, negative if some face plane has vertices on
+    both sides.  ``iterations`` counts Newton steps; ``converged`` is
+    True on every report that is returned.
+
+    A positive margin, with the residuals at zero, makes the map the
+    boundary of the convex hull P of its vertices, with regular faces:
+    - a planar face with every other vertex strictly on one side of its
+      plane is a facet of P;
+    - two faces on an edge are not coplanar, as the second face's other
+      vertex is off the first one's plane, so no map edge is a diagonal
+      of a facet; the face's vertices lie on one circle, so its cycle is
+      the facet's boundary;
+    - the faces form a closed sphere inside the sphere ∂P, so they are
+      all of ∂P.
     """
 
     unit_norm_deviation: float
     edge_length_spread: float
     max_planarity_residual: float
     max_regularity_residual: float
+    convexity_margin: float
     iterations: int = 0
     converged: bool = True
-    faces_simple: bool = True
+
+    @property
+    def faces_simple(self) -> bool:
+        """True if the margin certifies every face as a facet of a convex hull."""
+        return self.convexity_margin > _TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -72,19 +90,17 @@ def _edge_lengths(m: PolyhedralMap, coords: np.ndarray) -> np.ndarray:
     return np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1)
 
 
-def _faces_by_size(m: PolyhedralMap, coords: np.ndarray):
-    """Centred face corners, one (faces, k, 3) array per face size k."""
+def _face_residuals(m: PolyhedralMap, coords: np.ndarray) -> tuple[float, float, float]:
+    """Planarity, regularity and convexity margin, each face size at once."""
+    planarity = regularity = 0.0
+    margin = math.inf
     sizes: dict[int, list] = {}
     for face in m.faces:
         sizes.setdefault(len(face), []).append(face)
-    for faces in sizes.values():
-        pts = coords[np.array(faces)]
-        yield pts - pts.mean(axis=1, keepdims=True)
-
-
-def _face_residuals(m: PolyhedralMap, coords: np.ndarray) -> tuple[float, float]:
-    planarity = regularity = 0.0
-    for centred in _faces_by_size(m, coords):
+    for faces in map(np.array, sizes.values()):
+        pts = coords[faces]
+        centres = pts.mean(axis=1)
+        centred = pts - centres[:, None]
         # the last right singular vector is the normal of the best-fit plane
         normals = np.linalg.svd(centred, full_matrices=False)[2][:, -1]
         planarity = max(planarity, float(np.max(np.abs(np.einsum("fkd,fd->fk", centred, normals)))))
@@ -92,45 +108,26 @@ def _face_residuals(m: PolyhedralMap, coords: np.ndarray) -> tuple[float, float]
         radii = np.linalg.norm(centred, axis=2)
         for lengths in (sides, radii):
             regularity = max(regularity, float(np.abs(lengths - lengths.mean(axis=1, keepdims=True)).max()))
-    return planarity, regularity
-
-
-def _faces_simple(m: PolyhedralMap, coords: np.ndarray) -> bool:
-    """Per-face check: distinct vertices, non-crossing boundary.
-
-    Each face is projected to its best-fit plane; non-adjacent boundary
-    segments must not intersect there.
-    """
-    for centred in _faces_by_size(m, coords):
-        k = centred.shape[1]
-        gaps = sum((centred[:, :, None, d] - centred[:, None, :, d]) ** 2 for d in range(3))
-        if np.any(gaps[:, ~np.eye(k, dtype=bool)] < 1e-18):
-            return False
-        flat = np.einsum("fkd,fjd->fkj", centred, np.linalg.svd(centred, full_matrices=False)[2][:, :2])
-        x, y = flat[..., 0], flat[..., 1]
-        dx, dy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y
-        # turn[f, i, j]: the side of boundary segment i that corner j is on
-        turn = dx[:, :, None] * (y[:, None] - y[:, :, None]) - dy[:, :, None] * (x[:, None] - x[:, :, None])
-        turn = np.where(np.abs(turn) < 1e-12, 0, np.sign(turn))
-        # straddles[f, i, j]: segment j has its ends on both sides of segment
-        # i; never for adjacent segments, whose shared corner turns exactly 0
-        straddles = turn * np.roll(turn, -1, axis=2) < 0
-        if np.any(straddles & straddles.transpose(0, 2, 1)):
-            return False
-    return True
+        # the distance of every vertex from every face plane, NaN on the
+        # face's own corners; either sign of the normal gives one margin
+        d = normals @ coords.T
+        d -= np.einsum("fd,fd->f", normals, centres)[:, None]
+        d[np.arange(len(faces))[:, None], faces] = np.nan
+        margin = min(margin, float(np.min(np.maximum(np.nanmin(d, axis=1), -np.nanmax(d, axis=1)))))
+    return planarity, regularity, margin
 
 
 def _report(m, coords, iterations=0) -> ValidationReport:
     norms = np.linalg.norm(coords, axis=1)
     lengths = _edge_lengths(m, coords)
-    planarity, regularity = _face_residuals(m, coords)
+    planarity, regularity, margin = _face_residuals(m, coords)
     return ValidationReport(
         unit_norm_deviation=float(np.max(np.abs(norms - 1.0))),
         edge_length_spread=float(lengths.max() - lengths.min()),
         max_planarity_residual=planarity,
         max_regularity_residual=regularity,
+        convexity_margin=margin,
         iterations=iterations,
-        faces_simple=_faces_simple(m, coords),
     )
 
 
@@ -240,7 +237,7 @@ def realize_on_sphere(m: PolyhedralMap) -> Realization:
     Raises CountMismatch off the sphere, TooLarge above
     ``MAX_REALIZE_VERTICES``, NotSemiEquivelar (from ``identify``) on a
     map that is not semi-equivelar, and InvariantViolated if a residual
-    exceeds 1e-12 or a face is not simple.
+    exceeds 1e-12 or the convexity margin does not.
     """
     if m.euler_characteristic != 2:
         raise CountMismatch("spherical realization needs a sphere map")
@@ -256,7 +253,7 @@ def realize_on_sphere(m: PolyhedralMap) -> Realization:
         r.unit_norm_deviation, r.edge_length_spread, r.max_planarity_residual, r.max_regularity_residual
     )
     if worst > _TOLERANCE or not r.faces_simple:
-        raise InvariantViolated(f"{verdict.name}: residual {worst:.1e}, faces simple: {r.faces_simple}")
+        raise InvariantViolated(f"{verdict.name}: residual {worst:.1e}, convexity margin {r.convexity_margin:.1e}")
     return Realization(coords, provenance, r)
 
 

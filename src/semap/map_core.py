@@ -22,7 +22,6 @@ Only those two surfaces are supported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from semap.errors import (
@@ -59,17 +58,6 @@ def face_key(face: Sequence[int]) -> Face:
                 if best is None or cand < best:
                     best = cand
     return best
-
-
-@dataclass(frozen=True)
-class FaceCycle:
-    """Cyclic order of the faces around one vertex."""
-
-    vertex: int
-    faces: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.faces)
 
 
 class PolyhedralMap:
@@ -133,11 +121,6 @@ class PolyhedralMap:
             f"PolyhedralMap(f0={self.vertex_count}, f1={self.edge_count}, "
             f"f2={self.face_count}, chi={self.euler_characteristic})"
         )
-
-
-def face_cycle(m: PolyhedralMap, v: int) -> FaceCycle:
-    """The cyclic sequence of faces incident to ``v``; length = degree."""
-    return FaceCycle(v, m.rotations[v])
 
 
 def face_keys(m: PolyhedralMap) -> frozenset[Face]:

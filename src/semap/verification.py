@@ -311,6 +311,7 @@ def _suite_geometry() -> str:
         for name in (*PLATONIC_NAMES, *ARCHIMEDEAN_NAMES, "pseudo-rhombicuboctahedron")
     ]
     maps += [(f"{maker.__name__}-{n}", maker(n).map) for n in _GEOMETRY_DRUMS for maker in (prism, antiprism)]
+    margins = []
     for name, m in maps:
         r = realize_on_sphere(m).report
         for label, value in (
@@ -320,6 +321,8 @@ def _suite_geometry() -> str:
             ("regularity", r.max_regularity_residual),
         ):
             _check(value <= 1e-12, f"{name}: {label} {value:.1e}")
+        _check(r.convexity_margin > 1e-6, f"{name}: convexity margin {r.convexity_margin:.1e}")
+        margins.append(r.convexity_margin)
 
     r3 = antiprism_coordinates(3).coordinates
     octa = np.array(
@@ -349,8 +352,8 @@ def _suite_geometry() -> str:
         "OFF coordinate round trip",
     )
     return (
-        f"19 relabelled entries and {2 * len(_GEOMETRY_DRUMS)} drums within 1e-12; "
-        "octahedron match; OFF round trip lossless"
+        f"19 relabelled entries and {2 * len(_GEOMETRY_DRUMS)} drums within 1e-12, "
+        f"convex by a margin of at least {min(margins):.1e}; octahedron match; OFF round trip lossless"
     )
 
 

@@ -10,7 +10,6 @@ must either yield an exact integer vertex count or be rejected.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -24,7 +23,6 @@ from semap.errors import (
     NotSemiEquivelar,
     SizeTooSmall,
     TooLarge,
-    TypeSyntaxError,
 )
 from semap.map_core import PolyhedralMap, face_key
 
@@ -112,12 +110,6 @@ def semi_equivelar_type(m: PolyhedralMap):
         if tv != t0:
             return NotSemiEquivelar(0, v, t0, tv)
     return t0
-
-
-def degree_profile(t: VertexType) -> Runs:
-    """Sorted multiset form (q1^m1, ..., qk^mk) with q1 < ... < qk."""
-    counts = t.size_multiset()
-    return tuple(sorted(counts.items()))
 
 
 def defect(t: VertexType) -> Fraction:
@@ -316,48 +308,3 @@ def enumerate_admissible(max_gon: int) -> AdmissibleEnumeration:
         TypeFamily("[3^3,s]", 4, tuple(antiprisms[s] for s in sorted(antiprisms))),
     )
     return AdmissibleEnumeration(frozenset(sporadic), families, tuple(violations))
-
-
-# --------------------------------------------------------------------------
-# text syntax: [3^4,5] with ^1 omissible
-
-_RUN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
-
-
-def _run_number(digits: str, part: str) -> int:
-    # compare the length first: int() refuses over 4300 digits, and a
-    # number longer than MAX_GON is never a face size or a degree
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(MAX_GON)):
-        raise TypeSyntaxError(f"number over {len(str(MAX_GON))} digits in a run")
-    return int(digits)
-
-
-def parse_vertex_type(text: str) -> VertexType:
-    """Read run-length syntax such as ``[3^4,5]``.
-
-    Face sizes and the total degree are bounded by MAX_GON, each run
-    checked before it is expanded.
-    """
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise TypeSyntaxError(f"missing brackets in {text!r}")
-    body = s[1:-1]
-    if not body:
-        raise TypeSyntaxError("empty vertex type")
-    sizes: list[int] = []
-    for part in body.split(","):
-        m = _RUN_RE.match(part.strip())
-        if not m:
-            raise TypeSyntaxError(f"bad run {part!r} in {text!r}")
-        p = _run_number(m.group(1), part)
-        n = _run_number(m.group(2), part) if m.group(2) else 1
-        if n < 1:
-            raise TypeSyntaxError(f"bad multiplicity in {part!r}")
-        if p > MAX_GON:
-            raise TooLarge(f"face size {p} > {MAX_GON}")
-        if len(sizes) + n > MAX_GON:
-            raise TooLarge(f"total degree over {MAX_GON}")
-        sizes.extend([p] * n)
-    return normalize(sizes)
-

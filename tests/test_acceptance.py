@@ -26,7 +26,7 @@ _ORDERED = [
     ("identify", "7 classification with witnesses, projective catalog"),
     ("transitivity", "8 vertex transitivity and the one exception"),
     ("uniqueness", "9 exhaustive uniqueness of the regular base cases"),
-    ("geometry", "10 every entry realized within 1e-12, OFF round trip"),
+    ("geometry", "10 every entry realized convex within 1e-12, OFF round trip"),
 ]
 
 

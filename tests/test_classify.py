@@ -18,7 +18,6 @@ from semap.catalog import (
     sphere_catalog,
 )
 from semap.classify import (
-    direct_certificate_match,
     exhaustive_generate,
     identify,
     square_type_counts,
@@ -134,11 +133,15 @@ def test_identify_family_members_beyond_catalog_bound():
 
 
 def test_direct_certificate_match_agrees():
+    # brute force: the one catalog entry isomorphic to the map
+    def direct_match(m):
+        return [e.name for e in sphere_catalog(12) if are_isomorphic(m, e.map)]
+
     rng = random.Random(9)
     for name in ("snub-dodecahedron", "antiprism-9", "cube"):
         m = _relabel(entry_by_name(name).map, rng)
-        assert direct_certificate_match(m, 12) == identify(m).name
-    assert direct_certificate_match(build_map([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])) == "tetrahedron"
+        assert direct_match(m) == [identify(m).name]
+    assert direct_match(build_map([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])) == ["tetrahedron"]
 
 
 # --------------------------------------------------------------------------

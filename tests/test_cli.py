@@ -210,7 +210,9 @@ def test_export_truncated_icosahedron_is_exact(capsys, tmp_path):
     )
     assert code == 0
     assert stderr == ""
-    assert json.loads(stdout)["edge_length_spread"] <= 1e-12
+    report = json.loads(stdout)
+    assert report["edge_length_spread"] <= 1e-12
+    assert report["convexity_margin"] > 1e-6
 
 
 def test_export_of_a_square_pyramid_is_not_semi_equivelar(capsys, tmp_path):

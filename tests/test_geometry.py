@@ -4,13 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from semap import geometry
 from semap.catalog import ARCHIMEDEAN_NAMES, PLATONIC_NAMES, antiprism, entry_by_name, platonic, prism
 from semap.classify import identify
 from semap.errors import CountMismatch, InvariantViolated, MapFormatError, NTooSmall, TooLarge
 from semap.geometry import (
     MAX_REALIZE_VERTICES,
     _face_residuals,
-    _faces_simple,
+    _report,
     antiprism_coordinates,
     export,
     parse_off,
@@ -171,31 +172,19 @@ def test_svg_structure():
     assert len(paths) == entry.map.edge_count
 
 
-def _segments_cross(p, q, r, s):
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
-
-    return orient(p, q, r) * orient(p, q, s) < 0 and orient(r, s, p) * orient(r, s, q) < 0
-
-
-def _face_check_loop(pts):
-    """Planarity, regularity and simplicity of one face, pair by pair: the
-    reference for the checks that geometry runs on all faces of a size at once."""
-    k = len(pts)
-    centred = pts - pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(centred, full_matrices=False)
+def _face_check_loop(coords, face):
+    """Planarity, regularity and convexity margin of one face, vertex by
+    vertex: the reference for the checks that geometry runs on all faces of
+    a size at once."""
+    pts = coords[list(face)]
+    centre = pts.mean(axis=0)
+    centred = pts - centre
+    normal = np.linalg.svd(centred, full_matrices=False)[2][-1]
     sides = np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1)
     radii = np.linalg.norm(centred, axis=1)
-    flat = centred @ vt[:2].T
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    simple = all(np.linalg.norm(pts[i] - pts[j]) >= 1e-9 for i, j in pairs) and not any(
-        _segments_cross(flat[i], flat[(i + 1) % k], flat[j], flat[(j + 1) % k])
-        for i, j in pairs
-        if j != i + 1 and (j + 1) % k != i
-    )
     regularity = max(np.max(np.abs(sides - sides.mean())), np.max(np.abs(radii - radii.mean())))
-    return float(np.max(np.abs(centred @ vt[-1]))), float(regularity), simple
+    others = [float(np.dot(p - centre, normal)) for v, p in enumerate(coords) if v not in face]
+    return float(np.max(np.abs(centred @ normal))), float(regularity), max(min(others), -max(others))
 
 
 @pytest.mark.parametrize("name", ["prism-5", "antiprism-7", "cube", "truncated-cube"])
@@ -209,11 +198,30 @@ def test_face_checks_match_the_loop_reference(name):
             coords = exact + scale * rng.normal(size=exact.shape)
             if scale == 0.0:
                 coords[m.faces[0][1]] = coords[m.faces[0][0]]
-            loop = [_face_check_loop(coords[list(f)]) for f in m.faces]
-            planarity, regularity = _face_residuals(m, coords)
+            loop = [_face_check_loop(coords, f) for f in m.faces]
+            planarity, regularity, margin = _face_residuals(m, coords)
             assert planarity == pytest.approx(max(p for p, _, _ in loop), rel=1e-9, abs=1e-12)
             assert regularity == pytest.approx(max(r for _, r, _ in loop), rel=1e-9, abs=1e-12)
-            simple = all(s for _, _, s in loop)
-            assert _faces_simple(m, coords) == simple
-            verdicts.add(simple)
+            assert margin == pytest.approx(min(c for _, _, c in loop), rel=1e-9, abs=1e-12)
+            verdicts.add(margin > 1e-12)
     assert verdicts == {True, False}
+
+
+def test_star_faces_are_refused(monkeypatch):
+    # prism-5 with both rings in pentagram order: every face is regular
+    # and planar, but each square's plane cuts through the solid
+    half_chord = math.sin(2 * math.pi / 5)
+    a = 4 * math.pi * np.arange(5) / 5
+    rings = [np.column_stack((np.cos(a), np.sin(a), np.full(5, z))) for z in (half_chord, -half_chord)]
+    star = np.vstack(rings) / math.hypot(1.0, half_chord)
+    m = prism(5).map
+    r = _report(m, star)
+    for residual in (
+        r.unit_norm_deviation, r.edge_length_spread, r.max_planarity_residual, r.max_regularity_residual
+    ):
+        assert residual <= 1e-12
+    assert r.convexity_margin < 0
+    assert not r.faces_simple
+    monkeypatch.setattr(geometry, "_entry_coordinates", lambda name: (star, "exact-formula", 0))
+    with pytest.raises(InvariantViolated, match="convexity margin -"):
+        realize_on_sphere(m)

@@ -1,11 +1,13 @@
-"""The module graph of ``semap``: acyclic, imports at the top, and numpy
-loaded only by ``semap.geometry``."""
+"""The module graph of ``semap``: acyclic, imports at the top, numpy
+loaded only by ``semap.geometry``, and no public name without a caller."""
 import ast
 import os
+import re
 import subprocess
 import sys
 
-PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "semap")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "semap")
 
 # the only imports inside functions: each keeps numpy off the paths
 # that never touch geometry
@@ -83,3 +85,26 @@ def test_imports_sit_at_the_top_of_an_acyclic_graph():
         assert leaves, f"import cycle among {sorted(remaining)}"
         for m in leaves:
             del remaining[m]
+
+
+def test_every_public_name_is_reached_from_the_package_or_perfbench():
+    lines = {}
+    for folder in (PACKAGE, os.path.join(ROOT, "perfbench")):
+        for filename in sorted(os.listdir(folder)):
+            if filename.endswith(".py"):
+                with open(os.path.join(folder, filename), encoding="utf-8") as fh:
+                    lines[os.path.join(folder, filename)] = fh.read().splitlines()
+    unreached = []
+    for name, tree in _trees():
+        own = os.path.join(PACKAGE, name + ".py")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                word = re.compile(rf"\b{node.name}\b")
+                if not any(
+                    word.search(line)
+                    for path, text in lines.items()
+                    for number, line in enumerate(text, 1)
+                    if (path, number) != (own, node.lineno)
+                ):
+                    unreached.append(f"{name}.{node.name}")
+    assert not unreached, f"public names only tests reach: {unreached}"

@@ -22,7 +22,7 @@ from semap.errors import (
     SemapError,
     UnsupportedSurface,
 )
-from semap.map_core import build_map, face_cycle, face_key, format_map_text, parse_map_text
+from semap.map_core import build_map, face_key, format_map_text, parse_map_text
 
 TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 OCTA = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (1, 2, 5), (2, 3, 5), (3, 4, 5), (4, 1, 5)]
@@ -268,9 +268,8 @@ def test_handshake():
 def test_face_cycle_lengths():
     m = build_map(CUBE)
     for v in range(8):
-        fc = face_cycle(m, v)
-        assert len(fc) == 3
-        assert all(len(m.faces[f]) == 4 for f in fc.faces)
+        assert len(m.rotations[v]) == 3
+        assert all(len(m.faces[f]) == 4 for f in m.rotations[v])
 
 
 def test_face_cycle_matches_edges():
@@ -278,7 +277,7 @@ def test_face_cycle_matches_edges():
         m = build_map(faces)
         for v in range(m.vertex_count):
             incident_edges = [e for e in m.edges if v in e]
-            assert len(face_cycle(m, v)) == len(incident_edges)
+            assert len(m.rotations[v]) == len(incident_edges)
 
 
 def test_rebuild_is_identity():

@@ -13,19 +13,14 @@ from semap.errors import (
     NonPositiveDefect,
     NotSemiEquivelar,
     SizeTooSmall,
-    TooLarge,
-    TypeSyntaxError,
 )
 from semap.map_core import build_map
 from semap.vtype import (
-    MAX_GON,
     SPORADIC_TYPES,
     defect,
-    degree_profile,
     enumerate_admissible,
     normalize,
     obstruction,
-    parse_vertex_type,
     predicted_vertex_count,
     semi_equivelar_type,
     vertex_type_at,
@@ -81,16 +76,6 @@ def test_predicted_counts():
         predicted_vertex_count(normalize((6, 6, 6)))
     with pytest.raises(NonIntegerCount):
         predicted_vertex_count(normalize((3, 3, 4, 5)))  # 4 / (7/30)
-
-
-def test_degree_profile():
-    t = normalize((3, 4, 3, 4, 5))
-    prof = degree_profile(t)
-    assert prof == ((3, 2), (4, 2), (5, 1))
-    assert sum(m for _, m in prof) == t.degree
-    assert sum(Fraction(m, q) for q, m in prof) == sum(
-        Fraction(n, p) for p, n in t.runs
-    )
 
 
 def test_obstruction_conditions():
@@ -184,37 +169,6 @@ def test_enumeration_independent_of_search_order():
     for fam in result.families:
         expected.update(fam.members)
     assert survivors == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(size_sequences)
-def test_type_syntax_round_trip_property(seq):
-    t = normalize(seq)
-    assert parse_vertex_type(str(t)) == t
-
-
-def test_type_syntax_round_trip():
-    for t in SPORADIC_TYPES:
-        assert parse_vertex_type(str(t)) == t
-    assert parse_vertex_type("[3^4,5]") == normalize((3, 3, 3, 3, 5))
-    assert parse_vertex_type("[5,3^4]") == normalize((3, 3, 3, 3, 5))
-    assert str(parse_vertex_type("[4^2,7^1]")) == "[4^2,7]"
-    for bad in ("3^4,5", "[]", "[3,]", "[3^]", "[x]", "[3^0]"):
-        with pytest.raises(TypeSyntaxError):
-            parse_vertex_type(bad)
-
-
-def test_type_syntax_bounds():
-    # a number longer than MAX_GON is refused unread, so int()'s
-    # 4300-digit limit and a list of 10**30 entries never come up
-    for bad in ("[" + "3" * 5000 + "]", "[3^" + "9" * 30 + "]", f"[{MAX_GON * 10}^3]"):
-        with pytest.raises(TypeSyntaxError):
-            parse_vertex_type(bad)
-    # sizes and total degrees above MAX_GON are refused before expanding
-    for big in (f"[{MAX_GON + 1}^3]", f"[3^{MAX_GON + 1}]", f"[4,3^{MAX_GON}]"):
-        with pytest.raises(TooLarge):
-            parse_vertex_type(big)
-    assert parse_vertex_type("[003^4,05]") == normalize((3, 3, 3, 3, 5))
 
 
 def test_catalog_types_are_admissible():
